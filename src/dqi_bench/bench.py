@@ -14,13 +14,15 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import cached_property
 from math import exp, log
 
 import numpy as np
 
-from .decoder import build_graph, build_path_list, gate_cost
+from .decoder import PathList, build_graph, build_path_list, gate_cost
 from .dqi import (
     DEFAULT_SAMPLES,
+    DickeWeights,
     default_degree,
     dicke_weights,
     failure_profile_exact,
@@ -41,6 +43,8 @@ from .errors import CapacityError, ValidationError
 from .instances import BpspInstance, generate_instance
 
 ENUM_VAR_CAP = 26
+DISTANCE_CAP = 12
+DECODER_NAMES = ("greedy", "min-length")
 REPORT_COLUMNS = [
     "n_cars", "n", "m", "code_distance", "l", "decoder", "mode",
     "p_opt", "c_opt", "c_dqi", "c_total", "eps_json", "seed",
@@ -69,6 +73,11 @@ def derive_seed(*parts) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
+def _check_enumerable(n: int, cap_vars: int = ENUM_VAR_CAP) -> None:
+    if n > cap_vars:
+        raise CapacityError(f"optimum enumeration capped at {cap_vars} variables, got {n}")
+
+
 def enumerate_optima(
     x: XorsatInstance, cap_vars: int = ENUM_VAR_CAP
 ) -> tuple[list[tuple[int, ...]], int]:
@@ -79,8 +88,7 @@ def enumerate_optima(
     ``cap_vars`` variables rather than silently sampling.
     """
     n = x.n_vars
-    if n > cap_vars:
-        raise CapacityError(f"optimum enumeration capped at {cap_vars} variables, got {n}")
+    _check_enumerable(n, cap_vars)
     if x.m == 0:
         return [tuple((i >> j) & 1 for j in range(n)) for i in range(1 << n)], 0
     size = 1 << n
@@ -120,28 +128,110 @@ def _encode(inst: BpspInstance, encoding: str, reduce: bool):
     return x, record
 
 
-def _trivial_row(inst: BpspInstance, decoder: str, mode: str, seed: int) -> dict:
-    """Report row for a fully reduced, empty problem: every coloring is optimal."""
+class _Instance:
+    """One instance, encoded and reduced, and what every decoder's row shares.
+
+    Construction refuses an optimum search over more than ``ENUM_VAR_CAP``
+    variables before any other work.  The path list, the optimum search and
+    the Dicke weights run on first use and only once, so the search follows
+    the first decoder's profile: an exact profile over its budget refuses
+    before any 2^n scan.
+    """
+
+    def __init__(self, inst: BpspInstance, encoding: str, reduce: bool):
+        self.inst = inst
+        self.x, record = _encode(inst, encoding, reduce)
+        self.forced_swaps = record.forced_swaps if record else 0
+        _check_enumerable(self.x.n_vars)
+        self._weights: dict[int, DickeWeights] = {}
+
+    @cached_property
+    def paths(self) -> PathList:
+        return build_path_list(build_graph(self.x))
+
+    @cached_property
+    def optima(self) -> tuple[list[tuple[int, ...]], int]:
+        return enumerate_optima(self.x)
+
+    def weights(self, degree: int) -> DickeWeights:
+        if degree not in self._weights:
+            self._weights[degree] = dicke_weights(self.x.m, degree)
+        return self._weights[degree]
+
+    def profile(self, decoder: str, exact: bool, l: int, samples: int, seed: int):
+        if exact:
+            return failure_profile_exact(decoder, self.x, l, paths=self.paths)
+        return failure_profile_mc(decoder, self.x, l, samples=samples, seed=seed, paths=self.paths)
+
+
+def _pipeline_rows(inst, decoders, encoding, reduce, l, mode, samples, seed) -> list[dict]:
+    """One report row per decoder, all built on one shared instance stage."""
+    for decoder in decoders:
+        if decoder not in DECODER_NAMES:
+            raise ValidationError(f"unknown decoder {decoder!r}")
+    if mode not in ("exact", "approx"):
+        raise ValidationError(f"unknown mode {mode!r}")
+    started = time.perf_counter()
+    stage = _Instance(inst, encoding, reduce)
+    x = stage.x
+    degree, dist = 0, ""
+    if x.m:
+        degree = default_degree(x.n_vars, x.m) if l is None else l
+        if not 1 <= degree <= min(x.n_vars, x.m):
+            raise ValidationError(
+                f"degree {degree} outside 1..min(n={x.n_vars}, m={x.m})"
+            )
+        dist = code_distance(x, cap=DISTANCE_CAP)
+        if dist is None:
+            dist = f">{DISTANCE_CAP}"
+    setup_s = time.perf_counter() - started
+    return [
+        _decoder_row(stage, decoder, mode, degree, dist, samples, seed, setup_s)
+        for decoder in decoders
+    ]
+
+
+def _decoder_row(stage, decoder, mode, degree, dist, samples, seed, setup_s) -> dict:
+    """The report row of one decoder; its profile is dropped when it returns."""
+    started = time.perf_counter()
+    x = stage.x
+    if x.m == 0:  # fully reduced, empty problem: every coloring is optimal
+        n, eps, s_opt, n_opt = 0, [0.0], 0, 1
+        p_opt, c_opt, c_dqi, c_total = 1.0, 1.0, 0.0, 0.0
+    else:
+        profile = stage.profile(decoder, mode == "exact", degree, samples, seed)
+        optima, s_opt = stage.optima
+        weights = stage.weights(degree)
+        if decoder == "greedy":
+            c_dqi = float(gate_cost(stage.paths).leading_order)
+        else:
+            c_dqi = float(x.n_vars) ** 4
+        if mode == "exact":
+            est = p_opt_exact(x, optima, weights, profile, c_dqi)
+        else:
+            est = p_opt_approx(len(optima), s_opt, weights, profile, x.n_vars, c_dqi)
+        n, eps, n_opt = x.n_vars, list(profile.eps), len(optima)
+        p_opt, c_opt, c_dqi, c_total = est.p_opt, est.c_opt, est.c_dqi, est.c_total
     return {
-        "digest": instance_digest(inst),
-        "n_cars": inst.n_cars,
-        "n": 0,
-        "m": 0,
-        "code_distance": "",
-        "l": 0,
+        "digest": instance_digest(stage.inst),
+        "n_cars": stage.inst.n_cars,
+        "n": n,
+        "m": x.m,
+        "code_distance": dist,
+        "l": degree,
         "decoder": decoder,
         "mode": mode,
-        "p_opt": 1.0,
-        "c_opt": 1.0,
-        "c_dqi": 0.0,
-        "c_total": 0.0,
-        "eps": [0.0],
+        "p_opt": p_opt,
+        "c_opt": c_opt,
+        "c_dqi": c_dqi,
+        "c_total": c_total,
+        "eps": eps,
         "seed": seed,
-        "s_opt": 0,
-        "n_opt": 1,
-        "forced_swaps": None,
-        "wall_time_s": 0.0,
-        "trivial": True,
+        "s_opt": s_opt,
+        "n_opt": n_opt,
+        "forced_swaps": stage.forced_swaps,
+        "wall_time_s": setup_s + time.perf_counter() - started,
+        "trivial": x.m == 0,
     }
 
 
@@ -155,8 +245,6 @@ def run_pipeline(
     mode: str = "exact",
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    distance_cap: int = 12,
-    enum_cap: int = ENUM_VAR_CAP,
 ) -> dict:
     """Full single-instance benchmark; returns one report row.
 
@@ -166,58 +254,7 @@ def run_pipeline(
     satisfied-count.  The per-run gate cost is the leading-order circuit
     count for the greedy decoder and n^4 for the minimum-length decoder.
     """
-    if decoder not in ("greedy", "min-length"):
-        raise ValidationError(f"unknown decoder {decoder!r}")
-    if mode not in ("exact", "approx"):
-        raise ValidationError(f"unknown mode {mode!r}")
-    start = time.perf_counter()
-    x, record = _encode(inst, encoding, reduce)
-    if x.m == 0:
-        return _trivial_row(inst, decoder, mode, seed)
-
-    dist = code_distance(x, cap=distance_cap)
-    graph = build_graph(x)
-    paths = build_path_list(graph)
-    degree = default_degree(x.n_vars, x.m) if l is None else l
-    if not 1 <= degree <= min(x.n_vars, x.m):
-        raise ValidationError(
-            f"degree {degree} outside 1..min(n={x.n_vars}, m={x.m})"
-        )
-    if mode == "exact":
-        profile = failure_profile_exact(decoder, x, degree, paths=paths)
-    else:
-        profile = failure_profile_mc(decoder, x, degree, samples=samples, seed=seed, paths=paths)
-    optima, s_opt = enumerate_optima(x, cap_vars=enum_cap)
-    weights = dicke_weights(x.m, degree)
-    if decoder == "greedy":
-        c_dqi = float(gate_cost(paths).leading_order)
-    else:
-        c_dqi = float(x.n_vars) ** 4
-    if mode == "exact":
-        est = p_opt_exact(x, optima, weights, profile, c_dqi)
-    else:
-        est = p_opt_approx(len(optima), s_opt, weights, profile, x.n_vars, c_dqi)
-    return {
-        "digest": instance_digest(inst),
-        "n_cars": inst.n_cars,
-        "n": x.n_vars,
-        "m": x.m,
-        "code_distance": dist if dist is not None else f">{distance_cap}",
-        "l": degree,
-        "decoder": decoder,
-        "mode": mode,
-        "p_opt": est.p_opt,
-        "c_opt": est.c_opt,
-        "c_dqi": est.c_dqi,
-        "c_total": est.c_total,
-        "eps": list(profile.eps),
-        "seed": seed,
-        "s_opt": s_opt,
-        "n_opt": len(optima),
-        "forced_swaps": record.forced_swaps if record else 0,
-        "wall_time_s": time.perf_counter() - start,
-        "trivial": False,
-    }
+    return _pipeline_rows(inst, (decoder,), encoding, reduce, l, mode, samples, seed)[0]
 
 
 def sweep_degree(
@@ -230,7 +267,6 @@ def sweep_degree(
     reduce: bool = True,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    enum_cap: int = ENUM_VAR_CAP,
 ) -> tuple[int, list[tuple[int, float]]]:
     """Approximate optimum probability across polynomial degrees.
 
@@ -239,7 +275,10 @@ def sweep_degree(
     the per-degree series.  An instance that reduces to an empty problem
     returns (0, []).
     """
-    x, _ = _encode(inst, encoding, reduce)
+    if profile_source not in ("exact", "mc"):
+        raise ValidationError(f"unknown profile source {profile_source!r}")
+    stage = _Instance(inst, encoding, reduce)
+    x = stage.x
     if x.m == 0:
         return 0, []
     bound = min(x.n_vars, x.m)
@@ -248,20 +287,13 @@ def sweep_degree(
     l_values = sorted(set(int(v) for v in l_range))
     if not l_values or l_values[0] < 1 or l_values[-1] > bound:
         raise ValidationError(f"degree range must lie within 1..{bound}")
-    paths = build_path_list(build_graph(x))
-    if profile_source == "exact":
-        profile = failure_profile_exact(decoder, x, l_values[-1], paths=paths)
-    elif profile_source == "mc":
-        profile = failure_profile_mc(
-            decoder, x, l_values[-1], samples=samples, seed=seed, paths=paths
-        )
-    else:
-        raise ValidationError(f"unknown profile source {profile_source!r}")
-    optima, s_opt = enumerate_optima(x, cap_vars=enum_cap)
+    profile = stage.profile(decoder, profile_source == "exact", l_values[-1], samples, seed)
+    optima, s_opt = stage.optima
     series = []
     for degree in l_values:
-        weights = dicke_weights(x.m, degree)
-        est = p_opt_approx(len(optima), s_opt, weights, profile, x.n_vars, c_dqi=1.0)
+        est = p_opt_approx(
+            len(optima), s_opt, stage.weights(degree), profile, x.n_vars, c_dqi=1.0
+        )
         series.append((degree, est.p_opt))
     l_star = max(series, key=lambda pair: (pair[1], -pair[0]))[0]
     return l_star, series
@@ -280,24 +312,12 @@ def compare_decoders(
 
     With ``samples=None`` the failure profiles are exact; otherwise both
     decoders score the same sampled error sets (sampling depends only on
-    the seed, never on the decoder).
+    the seed, never on the decoder).  Everything but the profiles and the
+    densities runs once for both.
     """
     mode = "exact" if samples is None else "approx"
-    rows = []
-    for decoder in ("greedy", "min-length"):
-        rows.append(
-            run_pipeline(
-                inst,
-                encoding=encoding,
-                reduce=reduce,
-                decoder=decoder,
-                l=l,
-                mode=mode,
-                samples=samples if samples is not None else DEFAULT_SAMPLES,
-                seed=seed,
-            )
-        )
-    return rows
+    samples = DEFAULT_SAMPLES if samples is None else samples
+    return _pipeline_rows(inst, DECODER_NAMES, encoding, reduce, l, mode, samples, seed)
 
 
 def _validate_worker(args: tuple) -> tuple[dict, dict]:

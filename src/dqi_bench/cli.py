@@ -144,25 +144,16 @@ def _cmd_circuit(args):
 
 def _cmd_bench(args):
     inst = _load_instance(args)
-    if args.mode == "exact" and inst.n_cars > bench.ENUM_VAR_CAP and not args.force:
-        raise ValidationError(
-            f"exact mode with {inst.n_cars} car pairs exceeds the enumeration "
-            "budget; pass --force to attempt it anyway"
-        )
-    decoders = ["greedy", "min-length"] if args.decoder == "both" else [args.decoder]
-    rows = [
-        bench.run_pipeline(
-            inst,
-            encoding=args.encoding,
-            reduce=args.reduce,
-            decoder=dec,
-            l=args.l,
-            mode=args.mode,
-            samples=args.samples,
-            seed=args.seed,
-        )
-        for dec in decoders
-    ]
+    kwargs = dict(l=args.l, seed=args.seed, encoding=args.encoding, reduce=args.reduce)
+    if args.decoder == "both":
+        samples = args.samples if args.mode == "approx" else None
+        rows = bench.compare_decoders(inst, samples=samples, **kwargs)
+    else:
+        rows = [
+            bench.run_pipeline(
+                inst, decoder=args.decoder, mode=args.mode, samples=args.samples, **kwargs
+            )
+        ]
     bench.write_report_csv(rows, args.output)
     if args.aggregate_out:
         bench.write_aggregate_csv(bench.aggregate_rows(rows), args.aggregate_out)
@@ -212,7 +203,10 @@ def _cmd_sweep(args):
 
 
 def _cmd_validate_approx(args):
-    n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
+    try:
+        n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
+    except ValueError:
+        raise ValidationError(f"--n-list must be comma-separated integers, got {args.n_list!r}")
     if not n_list:
         raise ValidationError("--n-list must name at least one car count")
     rows, aggregates, flagged = bench.validate_approximation(
@@ -297,8 +291,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["exact", "approx"], default="exact")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
     p.add_argument("-o", "--output", dest="output", required=True)
     p.add_argument("--aggregate-out", default=None)
     p.set_defaults(func=_cmd_bench)

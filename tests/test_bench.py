@@ -20,8 +20,9 @@ from dqi_bench import (
     sweep_degree,
     validate_approximation,
 )
+from dqi_bench import bench
 from dqi_bench.bench import aggregate_rows, write_aggregate_csv, write_report_csv
-from oracles import lp_optimum_bruteforce
+from oracles import lp_optimum_bruteforce, min_swaps_bruteforce
 
 instances = st.builds(
     generate_instance,
@@ -88,8 +89,11 @@ def test_run_pipeline_min_length_cost(ex1):
 
 
 def test_run_pipeline_trivial_instance():
-    row = run_pipeline(BpspInstance(1, (1, 1)))
+    inst = BpspInstance(1, (1, 1))
+    row = run_pipeline(inst)
     assert row["trivial"] and row["p_opt"] == 1.0 and row["c_total"] == 0.0
+    assert row["forced_swaps"] == 1 and row["wall_time_s"] > 0.0
+    assert row["m"] - row["s_opt"] + row["forced_swaps"] == min_swaps_bruteforce(inst)
 
 
 def test_run_pipeline_non_icc(ex1):
@@ -160,6 +164,60 @@ def test_compare_decoders_paired_sampling():
     # min-length never fails more often than greedy on the shared samples
     for eg, em in zip(rows[0]["eps"], rows[1]["eps"]):
         assert em <= eg + 1e-12
+
+
+def _without_time(rows):
+    return [{k: v for k, v in row.items() if k != "wall_time_s"} for row in rows]
+
+
+@pytest.mark.parametrize("encoding", ["icc", "non-icc"])
+@pytest.mark.parametrize("samples", [None, 120])
+def test_compare_decoders_matches_separate_pipelines(encoding, samples):
+    for n_cars, seed in ((4, 2), (6, 3)):
+        inst = generate_instance(n_cars, seed)
+        rows = compare_decoders(inst, samples=samples, seed=5, encoding=encoding)
+        mode = {"mode": "exact"} if samples is None else {"mode": "approx", "samples": samples}
+        separate = [
+            run_pipeline(inst, encoding=encoding, decoder=d, seed=5, **mode)
+            for d in ("greedy", "min-length")
+        ]
+        assert _without_time(rows) == _without_time(separate)
+
+
+def test_compare_decoders_searches_once(monkeypatch, ex1):
+    calls = []
+    search = bench.enumerate_optima
+
+    def counting(x, *args, **kwargs):
+        calls.append(x)
+        return search(x, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "enumerate_optima", counting)
+    compare_decoders(ex1, l=1)
+    assert len(calls) == 1
+
+
+@pytest.fixture()
+def no_profiles_or_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the capacity check")
+
+    for name in ("failure_profile_mc", "failure_profile_exact", "enumerate_optima"):
+        monkeypatch.setattr(bench, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_pipeline(generate_instance(30, 0), mode="approx"),
+        lambda: sweep_degree(generate_instance(30, 0)),
+        lambda: run_pipeline(generate_instance(14, 0), encoding="non-icc", mode="approx"),
+    ],
+    ids=["approx-30-cars", "sweep-30-cars", "non-icc-approx-14-cars"],
+)
+def test_capacity_refused_before_profile_or_search(no_profiles_or_search, call):
+    with pytest.raises(CapacityError):
+        call()
 
 
 # -------------------------------------------------------------- validation

@@ -115,6 +115,21 @@ def test_bench_both_decoders_idempotent(tmp_path, capsys, ex1_file):
     assert [r["decoder"] for r in rows] == ["greedy", "min-length"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--mode", "exact"], ["--mode", "approx", "--samples", "60", "--encoding", "non-icc"]],
+)
+def test_bench_both_matches_single_decoder_runs(tmp_path, capsys, ex1_file, args):
+    def report(decoder):
+        path = tmp_path / f"{decoder}.csv"
+        assert main(["bench", "--decoder", decoder, "-i", ex1_file, *args, "-o", str(path)]) == 0
+        return path.read_text().splitlines()
+
+    both, greedy, minlen = report("both"), report("greedy"), report("min-length")
+    capsys.readouterr()
+    assert both == greedy + minlen[1:]
+
+
 def test_bench_generates_when_asked(tmp_path, capsys):
     report = tmp_path / "r.csv"
     code, summary = run_cli(
@@ -181,16 +196,14 @@ def test_validation_error_exits_2(tmp_path, capsys):
     report = tmp_path / "r.csv"
     assert main(["bench", "-i", str(bad), "-o", str(report)]) == 2
     assert main(["bench", "-o", str(report)]) == 2  # neither -i nor --n-cars
-    assert main(["bench", "--n-cars", "40", "--mode", "exact", "-o", str(report)]) == 2
+    assert main(["validate-approx", "--n-list", "a", "-o", str(report)]) == 2
 
 
 def test_capacity_error_exits_3(tmp_path, capsys):
     report = tmp_path / "r.csv"
-    code = main(
-        ["bench", "--n-cars", "40", "--seed", "1", "--mode", "exact",
-         "--force", "-o", str(report)]
-    )
+    code = main(["bench", "--n-cars", "40", "--seed", "1", "--mode", "exact", "-o", str(report)])
     assert code == 3
+    assert main(["bench", "--n-cars", "40", "--mode", "exact", "-o", str(report)]) == 3
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
