@@ -7,7 +7,8 @@ minimum-length rows the hypothetical n^4.
 
 The exact matching behind the minimum-length decoder is exponential in the
 syndrome size (capacity-capped at 22 odd vertices), so keep car counts
-desk-scale; optimum enumeration additionally caps at 26 variables.
+desk-scale; the optimum search additionally caps the elimination width of
+the constraint graph at 22 (reached at about 90 cars).
 """
 import argparse
 import json

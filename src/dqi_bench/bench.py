@@ -2,10 +2,12 @@
 
 Each pipeline takes a paint shop instance through encoding, reduction,
 decoding statistics and probability estimates, and emits plain dict rows
-that serialize to CSV.  Optima are found by exhaustive enumeration (the
-instance sizes here are desk scale); an LP export hook is provided for
+that serialize to CSV.  Optima are found exactly by variable elimination
+over the (max, +, count) semiring along a min-fill order, which costs
+about 2^width per step rather than 2^n; systems whose order is wider than
+``WIDTH_CAP`` are refused up front.  An LP export hook is provided for
 anyone who wants to cross-check with an external integer-programming
-solver instead.
+solver.
 """
 from __future__ import annotations
 
@@ -42,7 +44,8 @@ from .encoding import (
 from .errors import CapacityError, ValidationError
 from .instances import BpspInstance, generate_instance
 
-ENUM_VAR_CAP = 26
+WIDTH_CAP = 22
+LISTING_CAP = 1 << 20
 DISTANCE_CAP = 12
 DECODER_NAMES = ("greedy", "min-length")
 REPORT_COLUMNS = [
@@ -73,45 +76,118 @@ def derive_seed(*parts) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _check_enumerable(n: int, cap_vars: int = ENUM_VAR_CAP) -> None:
-    if n > cap_vars:
-        raise CapacityError(f"optimum enumeration capped at {cap_vars} variables, got {n}")
+def _pair_scores(x: XorsatInstance) -> dict[tuple[int, int], list[int]]:
+    """Rows summed per distinct endpoint pair: 0-based (a, b), a < b -> [target-0, target-1] rows."""
+    pairs: dict[tuple[int, int], list[int]] = {}
+    for (a, b), v in zip(x.rows, x.targets):
+        pairs.setdefault((min(a, b) - 1, max(a, b) - 1), [0, 0])[v] += 1
+    return pairs
 
 
-def enumerate_optima(
-    x: XorsatInstance, cap_vars: int = ENUM_VAR_CAP
-) -> tuple[list[tuple[int, ...]], int]:
+def _elimination_order(n: int, pairs) -> list[int]:
+    """Greedy min-fill elimination order of the constraint graph.
+
+    Each step eliminates the variable whose neighbours lack the fewest edges
+    among themselves (then the lowest degree, then the lowest index) and joins
+    those neighbours.  Refuses, as soon as it is reached, a variable with more
+    than ``WIDTH_CAP`` neighbours: its table would hold more than 2^(cap+1) cells.
+    """
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+
+    def fill(v):
+        return sum(len(adj[v] - adj[u]) - 1 for u in adj[v])
+
+    remaining = set(range(n))
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda u: (fill(u), len(adj[u]), u))
+        if len(adj[v]) > WIDTH_CAP:
+            raise CapacityError(
+                f"optimum search capped at elimination width {WIDTH_CAP}, "
+                f"the min-fill order reaches {len(adj[v])}"
+            )
+        for u in adj[v]:
+            adj[u] |= adj[v]
+            adj[u] -= {u, v}
+        remaining.remove(v)
+        order.append(v)
+    return order
+
+
+def _check_listable(count: int) -> None:
+    if count > LISTING_CAP:
+        raise CapacityError(f"{count} optimal assignments exceed the listing cap of {LISTING_CAP}")
+
+
+def enumerate_optima(x: XorsatInstance) -> tuple[list[tuple[int, ...]], int]:
     """All assignments maximizing the satisfied-row count, plus that count.
 
-    Exhaustive scan over 2^n assignments, vectorized in chunks; variable j
-    maps to bit j-1 of the assignment index.  Refuses to run above
-    ``cap_vars`` variables rather than silently sampling.
+    Variable elimination over the (max, +, count) semiring: each distinct
+    endpoint pair is one 2x2 table of satisfied rows, and eliminating a
+    variable in min-fill order joins the tables that hold it, then keeps for
+    every assignment of its neighbours the best score, the number of optimal
+    completions and which of its values reach that score.  Backtracking those
+    choices lists every optimum.  Optima come sorted by assignment index
+    (variable j maps to bit j-1).  Refuses a system over the elimination-width
+    cap, a count that would leave int64, and more than ``LISTING_CAP`` optima.
     """
     n = x.n_vars
-    _check_enumerable(n, cap_vars)
     if x.m == 0:
+        _check_listable(1 << n)
         return [tuple((i >> j) & 1 for j in range(n)) for i in range(1 << n)], 0
-    size = 1 << n
-    chunk = 1 << 22
-    best = -1
-    picked: list[np.ndarray] = []
-    for start in range(0, size, chunk):
-        idx = np.arange(start, min(start + chunk, size), dtype=np.uint32)
-        counts = np.zeros(len(idx), dtype=np.int32)
-        for (a, b), v in zip(x.rows, x.targets):
-            bits = ((idx >> np.uint32(a - 1)) ^ (idx >> np.uint32(b - 1))) & np.uint32(1)
-            counts += bits == v
-        top = int(counts.max())
-        if top > best:
-            best = top
-            picked = [idx[counts == top]]
-        elif top == best:
-            picked.append(idx[counts == top])
-    indices = np.concatenate(picked)
-    assignments = [
-        tuple(int((int(i) >> j) & 1) for j in range(n)) for i in indices
+    pairs = _pair_scores(x)
+    order = _elimination_order(n, pairs)
+    # a table is (scope in ascending order, best score, count of optimal completions)
+    tables = [
+        (key, np.array([[c0, c1], [c1, c0]], dtype=np.int32), np.ones((2, 2), dtype=np.int64))
+        for key, (c0, c1) in pairs.items()
     ]
-    return assignments, best
+    choices: dict[int, tuple[list[int], np.ndarray]] = {}
+    s_opt, count = 0, 1
+    for v in order:
+        mine = [t for t in tables if v in t[0]]
+        tables = [t for t in tables if v not in t[0]]
+        scope = sorted({v}.union(*(t[0] for t in mine)))
+        bound = 2
+        for _, _, counts in mine:
+            bound *= int(counts.max())
+        if bound >= 1 << 63:
+            raise CapacityError(f"optimum count could pass 2^63 at variable {v + 1}")
+        score = np.zeros((2,) * len(scope), dtype=np.int32)
+        counts = np.ones((2,) * len(scope), dtype=np.int64)
+        for key, t_score, t_counts in mine:
+            shape = [2 if u in key else 1 for u in scope]
+            score += t_score.reshape(shape)
+            counts *= t_counts.reshape(shape)
+        axis = scope.index(v)
+        at = [(slice(None),) * axis + (b,) for b in (0, 1)]
+        best = np.maximum(score[at[0]], score[at[1]])
+        hit0, hit1 = score[at[0]] == best, score[at[1]] == best
+        counts = np.where(hit0, counts[at[0]], 0) + np.where(hit1, counts[at[1]], 0)
+        rest = scope[:axis] + scope[axis + 1 :]
+        # bit b is set where value b of v reaches the best score
+        choices[v] = (rest, (hit0 + 2 * hit1.astype(np.uint8)).ravel())
+        if rest:
+            tables.append((tuple(rest), best, counts))
+        else:  # a component is done: scores add, counts multiply
+            s_opt += int(best)
+            count *= int(counts)
+    _check_listable(count)
+    assign = np.zeros((1, n), dtype=np.uint8)
+    for v in reversed(order):
+        rest, choice = choices[v]
+        idx = np.zeros(len(assign), dtype=np.int64)
+        for u in rest:
+            idx = (idx << 1) | assign[:, u]
+        code = choice[idx]
+        ones = assign[(code & 2) > 0]
+        ones[:, v] = 1
+        assign = np.concatenate([assign[(code & 1) > 0], ones])
+    assign = assign[np.lexsort(assign.T)]
+    return [tuple(row) for row in assign.tolist()], s_opt
 
 
 def _encode(inst: BpspInstance, encoding: str, reduce: bool):
@@ -131,18 +207,18 @@ def _encode(inst: BpspInstance, encoding: str, reduce: bool):
 class _Instance:
     """One instance, encoded and reduced, and what every decoder's row shares.
 
-    Construction refuses an optimum search over more than ``ENUM_VAR_CAP``
-    variables before any other work.  The path list, the optimum search and
-    the Dicke weights run on first use and only once, so the search follows
-    the first decoder's profile: an exact profile over its budget refuses
-    before any 2^n scan.
+    Construction refuses an optimum search over the elimination-width cap
+    (``WIDTH_CAP``) before any other work.  The path list, the optimum search
+    and the Dicke weights run on first use and only once, so the search
+    follows the first decoder's profile: an exact profile over its budget
+    refuses before the search.
     """
 
     def __init__(self, inst: BpspInstance, encoding: str, reduce: bool):
         self.inst = inst
         self.x, record = _encode(inst, encoding, reduce)
         self.forced_swaps = record.forced_swaps if record else 0
-        _check_enumerable(self.x.n_vars)
+        _elimination_order(self.x.n_vars, _pair_scores(self.x))
         self._weights: dict[int, DickeWeights] = {}
 
     @cached_property
@@ -164,13 +240,13 @@ class _Instance:
         return failure_profile_mc(decoder, self.x, l, samples=samples, seed=seed, paths=self.paths)
 
 
-def _pipeline_rows(inst, decoders, encoding, reduce, l, mode, samples, seed) -> list[dict]:
-    """One report row per decoder, all built on one shared instance stage."""
-    for decoder in decoders:
+def _pipeline_rows(inst, runs, encoding, reduce, l, samples, seed) -> list[dict]:
+    """One report row per (decoder, mode) run, all built on one shared instance stage."""
+    for decoder, mode in runs:
         if decoder not in DECODER_NAMES:
             raise ValidationError(f"unknown decoder {decoder!r}")
-    if mode not in ("exact", "approx"):
-        raise ValidationError(f"unknown mode {mode!r}")
+        if mode not in ("exact", "approx"):
+            raise ValidationError(f"unknown mode {mode!r}")
     started = time.perf_counter()
     stage = _Instance(inst, encoding, reduce)
     x = stage.x
@@ -187,7 +263,7 @@ def _pipeline_rows(inst, decoders, encoding, reduce, l, mode, samples, seed) -> 
     setup_s = time.perf_counter() - started
     return [
         _decoder_row(stage, decoder, mode, degree, dist, samples, seed, setup_s)
-        for decoder in decoders
+        for decoder, mode in runs
     ]
 
 
@@ -254,7 +330,7 @@ def run_pipeline(
     satisfied-count.  The per-run gate cost is the leading-order circuit
     count for the greedy decoder and n^4 for the minimum-length decoder.
     """
-    return _pipeline_rows(inst, (decoder,), encoding, reduce, l, mode, samples, seed)[0]
+    return _pipeline_rows(inst, [(decoder, mode)], encoding, reduce, l, samples, seed)[0]
 
 
 def sweep_degree(
@@ -317,15 +393,16 @@ def compare_decoders(
     """
     mode = "exact" if samples is None else "approx"
     samples = DEFAULT_SAMPLES if samples is None else samples
-    return _pipeline_rows(inst, DECODER_NAMES, encoding, reduce, l, mode, samples, seed)
+    runs = [(decoder, mode) for decoder in DECODER_NAMES]
+    return _pipeline_rows(inst, runs, encoding, reduce, l, samples, seed)
 
 
 def _validate_worker(args: tuple) -> tuple[dict, dict]:
+    """The exact and the approximate row of one instance, on one shared stage."""
     n_cars, inst_seed, samples, decoder = args
-    inst = generate_instance(n_cars, inst_seed)
-    exact = run_pipeline(inst, decoder=decoder, mode="exact", seed=inst_seed)
-    approx = run_pipeline(
-        inst, decoder=decoder, mode="approx", samples=samples, seed=inst_seed
+    runs = [(decoder, "exact"), (decoder, "approx")]
+    exact, approx = _pipeline_rows(
+        generate_instance(n_cars, inst_seed), runs, ICC, True, None, samples, inst_seed
     )
     return exact, approx
 

@@ -48,7 +48,9 @@ def dicke_weights(m: int, l: int) -> DickeWeights:
     positive diagonal shift makes the top eigenvalue strictly dominant).
     Iterates until the vector change drops below 1e-12 *and* the residual
     ||A w - lambda w||_inf is below 1e-11; the change criterion alone can
-    stall an order of magnitude above the residual target.
+    stall an order of magnitude above the residual target.  Raises
+    ``CapacityError`` when the iteration cap runs out or the result fails
+    its residual or positivity check.
     """
     if not 0 <= l <= m or m < 1:
         raise ValidationError(f"degree l={l} out of range for m={m}")
@@ -77,14 +79,14 @@ def dicke_weights(m: int, l: int) -> DickeWeights:
                 converged = True
                 break
     if not converged:
-        raise RuntimeError(f"power iteration failed to converge for (m={m}, l={l})")
+        raise CapacityError(f"power iteration failed to converge for (m={m}, l={l})")
     if w[0] < 0:
         w = -w
     aw = matvec(w)
     lam = float(w @ aw)
     residual = float(np.max(np.abs(aw - lam * w)))
     if residual > 1e-10 or not np.all(w > 0):
-        raise RuntimeError(
+        raise CapacityError(
             f"eigenvector quality check failed for (m={m}, l={l}): residual {residual:.2e}"
         )
     return DickeWeights(m=m, l=l, w=tuple(float(v) for v in w), lambda_max=lam)

@@ -9,7 +9,9 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations, product
 
-from dqi_bench import BpspInstance, Coloring, XorsatInstance, paint_swaps
+import numpy as np
+
+from dqi_bench import BpspInstance, CapacityError, Coloring, XorsatInstance, paint_swaps
 
 
 def induced_coloring(inst: BpspInstance, car_bits) -> Coloring:
@@ -41,6 +43,43 @@ def satisfied_direct(x: XorsatInstance, assign) -> int:
         if (assign[a - 1] + assign[b - 1]) % 2 == v:
             count += 1
     return count
+
+
+def enumerate_optima_scan(
+    x: XorsatInstance, cap_vars: int = 26
+) -> tuple[list[tuple[int, ...]], int]:
+    """All assignments maximizing the satisfied-row count, plus that count.
+
+    Exhaustive scan over 2^n assignments, vectorized in chunks; variable j
+    maps to bit j-1 of the assignment index.  Refuses to run above
+    ``cap_vars`` variables rather than silently sampling.
+    """
+    n = x.n_vars
+    if n > cap_vars:
+        raise CapacityError(f"optimum enumeration capped at {cap_vars} variables, got {n}")
+    if x.m == 0:
+        return [tuple((i >> j) & 1 for j in range(n)) for i in range(1 << n)], 0
+    size = 1 << n
+    chunk = 1 << 22
+    best = -1
+    picked: list[np.ndarray] = []
+    for start in range(0, size, chunk):
+        idx = np.arange(start, min(start + chunk, size), dtype=np.uint32)
+        counts = np.zeros(len(idx), dtype=np.int32)
+        for (a, b), v in zip(x.rows, x.targets):
+            bits = ((idx >> np.uint32(a - 1)) ^ (idx >> np.uint32(b - 1))) & np.uint32(1)
+            counts += bits == v
+        top = int(counts.max())
+        if top > best:
+            best = top
+            picked = [idx[counts == top]]
+        elif top == best:
+            picked.append(idx[counts == top])
+    indices = np.concatenate(picked)
+    assignments = [
+        tuple(int((int(i) >> j) & 1) for j in range(n)) for i in indices
+    ]
+    return assignments, best
 
 
 def code_distance_bruteforce(x: XorsatInstance, cap: int = 12):
@@ -165,3 +204,50 @@ def _eval_linear(body: str, values: dict[str, int]) -> int:
             total += sign * values[tok]
             sign = 1
     return total
+
+
+def parse_lp(text, n_vars, m):
+    """Read back the restricted LP shape this package writes as MILP arrays.
+
+    Returns the objective, the constraint matrix and its lower and upper
+    bounds, with x1..xn first and z1..zm after them.
+    """
+    names = {f"x{i + 1}": i for i in range(n_vars)}
+    names.update({f"z{j + 1}": n_vars + j for j in range(m)})
+    c = np.zeros(len(names))
+    rows, lower, upper = [], [], []
+    section = None
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line in ("Maximize", "Subject To", "Binary", "End"):
+            section = line
+            continue
+        if section == "Maximize":
+            for token in line.split(":", 1)[1].split():
+                if token in names:
+                    c[names[token]] = 1.0
+        elif section == "Subject To":
+            body, sense, bound = None, None, None
+            for op in ("<=", ">="):
+                if op in line:
+                    body, bound = line.split(":", 1)[1].split(op)
+                    sense = op
+                    break
+            coeffs = np.zeros(len(names))
+            sign = 1.0
+            for token in body.split():
+                if token == "+":
+                    sign = 1.0
+                elif token == "-":
+                    sign = -1.0
+                else:
+                    coeffs[names[token]] = sign
+                    sign = 1.0
+            rows.append(coeffs)
+            if sense == "<=":
+                lower.append(-np.inf)
+                upper.append(float(bound))
+            else:
+                lower.append(float(bound))
+                upper.append(np.inf)
+    return c, np.array(rows), np.array(lower), np.array(upper)

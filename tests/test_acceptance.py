@@ -40,7 +40,7 @@ from dqi_bench import (
     validate_approximation,
 )
 from dqi_bench.bench import derive_seed
-from oracles import shell_sum_bruteforce
+from oracles import parse_lp, shell_sum_bruteforce
 
 BASE_SEED = 20250808
 EX1 = BpspInstance(5, (1, 2, 1, 3, 4, 5, 2, 5, 3, 4))
@@ -364,7 +364,7 @@ def test_lp_export_roundtrip(tmp_path):
     for inst, x, _ in random_instances("lp", 5, range(3, 13)):
         path = tmp_path / f"inst{checked}.lp"
         export_lp(x, path)
-        c, a_mat, lower, upper = _parse_lp(path.read_text(), x.n_vars, x.m)
+        c, a_mat, lower, upper = parse_lp(path.read_text(), x.n_vars, x.m)
         result = milp(
             c=-c,
             constraints=LinearConstraint(a_mat, lower, upper),
@@ -376,46 +376,3 @@ def test_lp_export_roundtrip(tmp_path):
         assert round(-result.fun) == s_opt
         checked += 1
     print(f"[acceptance lp] export round-trip via external solver: PASS ({checked} instances)")
-
-
-def _parse_lp(text, n_vars, m):
-    """Read back the restricted LP shape this package writes."""
-    names = {f"x{i + 1}": i for i in range(n_vars)}
-    names.update({f"z{j + 1}": n_vars + j for j in range(m)})
-    c = np.zeros(len(names))
-    rows, lower, upper = [], [], []
-    section = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line in ("Maximize", "Subject To", "Binary", "End"):
-            section = line
-            continue
-        if section == "Maximize":
-            for token in line.split(":", 1)[1].split():
-                if token in names:
-                    c[names[token]] = 1.0
-        elif section == "Subject To":
-            body, sense, bound = None, None, None
-            for op in ("<=", ">="):
-                if op in line:
-                    body, bound = line.split(":", 1)[1].split(op)
-                    sense = op
-                    break
-            coeffs = np.zeros(len(names))
-            sign = 1.0
-            for token in body.split():
-                if token == "+":
-                    sign = 1.0
-                elif token == "-":
-                    sign = -1.0
-                else:
-                    coeffs[names[token]] = sign
-                    sign = 1.0
-            rows.append(coeffs)
-            if sense == "<=":
-                lower.append(-np.inf)
-                upper.append(float(bound))
-            else:
-                lower.append(float(bound))
-                upper.append(np.inf)
-    return c, np.array(rows), np.array(lower), np.array(upper)

@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from dqi_bench import (
 )
 from dqi_bench import bench
 from dqi_bench.bench import aggregate_rows, write_aggregate_csv, write_report_csv
-from oracles import lp_optimum_bruteforce, min_swaps_bruteforce
+from oracles import enumerate_optima_scan, lp_optimum_bruteforce, min_swaps_bruteforce, parse_lp
 
 instances = st.builds(
     generate_instance,
@@ -47,9 +48,68 @@ def test_enumerate_optima_empty_problem():
 
 
 def test_enumerate_optima_capacity():
-    x = XorsatInstance(n_vars=27, rows=((1, 2),), targets=(0,))
-    with pytest.raises(CapacityError):
+    # every elimination order of a complete graph on 24 variables has width 23
+    rows = tuple((a, b) for a in range(1, 25) for b in range(a + 1, 25))
+    x = XorsatInstance(n_vars=24, rows=rows, targets=(1,) * len(rows))
+    with pytest.raises(CapacityError, match="elimination width"):
         enumerate_optima(x)
+
+
+def test_enumerate_optima_count_guard():
+    # both targets on every link of a 70-variable chain: all 2^70 assignments are optimal
+    rows = tuple((a, a + 1) for a in range(1, 70) for _ in range(2))
+    x = XorsatInstance(n_vars=70, rows=rows, targets=(0, 1) * 69)
+    with pytest.raises(CapacityError, match="2\\^63"):
+        enumerate_optima(x)
+
+
+def test_enumerate_optima_listing_cap():
+    x = XorsatInstance(n_vars=bench.LISTING_CAP.bit_length(), rows=(), targets=())
+    with pytest.raises(CapacityError, match="listing cap"):
+        enumerate_optima(x)
+
+
+@st.composite
+def parity_systems(draw):
+    """Random two-variable systems: parallel rows with either target, isolated
+    variables and several components all occur."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    if n == 1:
+        return XorsatInstance(n_vars=1, rows=(), targets=())
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    rows = draw(st.lists(pair, max_size=3 * n))
+    rows += draw(st.sampled_from([[], rows[:2]]))  # repeat some rows, maybe with other targets
+    targets = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    return XorsatInstance(n_vars=n, rows=tuple(rows), targets=tuple(targets))
+
+
+@settings(max_examples=200, deadline=None)
+@given(parity_systems())
+def test_enumerate_optima_matches_oracle(x):
+    assert enumerate_optima(x) == enumerate_optima_scan(x)
+
+
+def test_enumerate_optima_matches_highs_past_old_cap(tmp_path):
+    milp = pytest.importorskip("scipy.optimize", reason="no MILP solver available").milp
+    from scipy.optimize import Bounds, LinearConstraint
+
+    inst = generate_instance(40, 0)
+    x, _ = reduce_instance(encode_icc(inst), inst)
+    assert x.n_vars > 26  # beyond the former 2^n scan
+    path = tmp_path / "n40.lp"
+    export_lp(x, path)
+    c, a_mat, lower, upper = parse_lp(path.read_text(), x.n_vars, x.m)
+    result = milp(
+        c=-c,
+        constraints=LinearConstraint(a_mat, lower, upper),
+        integrality=np.ones(len(c)),
+        bounds=Bounds(0, 1),
+    )
+    assert result.success
+    optima, s_opt = enumerate_optima(x)
+    assert round(-result.fun) == s_opt
+    assert optima == sorted(optima, key=lambda bits: bits[::-1])
+    assert all(satisfied_count(x, bits) == s_opt for bits in optima)
 
 
 @settings(max_examples=25, deadline=None)
@@ -209,15 +269,21 @@ def no_profiles_or_search(monkeypatch):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: run_pipeline(generate_instance(30, 0), mode="approx"),
-        lambda: sweep_degree(generate_instance(30, 0)),
-        lambda: run_pipeline(generate_instance(14, 0), encoding="non-icc", mode="approx"),
+        lambda: run_pipeline(generate_instance(100, 0), mode="approx"),
+        lambda: sweep_degree(generate_instance(100, 0)),
+        lambda: run_pipeline(generate_instance(100, 0), encoding="non-icc", mode="approx"),
     ],
-    ids=["approx-30-cars", "sweep-30-cars", "non-icc-approx-14-cars"],
+    ids=["approx-100-cars", "sweep-100-cars", "non-icc-approx-100-cars"],
 )
 def test_capacity_refused_before_profile_or_search(no_profiles_or_search, call):
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="elimination width"):
         call()
+
+
+def test_run_pipeline_approx_past_old_cap():
+    row = run_pipeline(generate_instance(30, 0), mode="approx")
+    assert row["n"] == 30 and row["n_opt"] >= 2
+    assert 0.0 < row["p_opt"] <= 1.0
 
 
 # -------------------------------------------------------------- validation
@@ -236,6 +302,33 @@ def test_validate_approximation_small():
         assert a["mean"] > 0
     for item in flagged:
         assert not 0.05 <= item["ratio"] <= 3.0
+
+
+def test_validate_rows_match_separate_pipelines():
+    rows, _, _ = validate_approximation([4, 6], instances_per_n=2, seed=3, samples=50)
+    separate = []
+    for n_cars in (4, 6):
+        for i in range(2):
+            inst_seed = bench.derive_seed(3, n_cars, i)
+            inst = generate_instance(n_cars, inst_seed)
+            separate.append(run_pipeline(inst, mode="exact", seed=inst_seed))
+            separate.append(
+                run_pipeline(inst, mode="approx", samples=50, seed=inst_seed)
+            )
+    assert _without_time(rows) == _without_time(separate)
+
+
+def test_validate_searches_once_per_instance(monkeypatch):
+    calls = []
+    search = bench.enumerate_optima
+
+    def counting(x):
+        calls.append(x)
+        return search(x)
+
+    monkeypatch.setattr(bench, "enumerate_optima", counting)
+    rows, _, _ = validate_approximation([5], instances_per_n=3, seed=2, samples=20)
+    assert len(rows) == 6 and len(calls) == 3
 
 
 def test_validate_jobs_do_not_change_results():

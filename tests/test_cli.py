@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from dqi_bench import read_instance, read_xorsat, write_instance
+from dqi_bench import dqi, read_instance, read_xorsat, write_instance
 from dqi_bench.cli import main
 
 
@@ -204,6 +204,23 @@ def test_capacity_error_exits_3(tmp_path, capsys):
     code = main(["bench", "--n-cars", "40", "--seed", "1", "--mode", "exact", "-o", str(report)])
     assert code == 3
     assert main(["bench", "--n-cars", "40", "--mode", "exact", "-o", str(report)]) == 3
+
+
+def test_over_width_exits_3_and_past_old_cap_runs(tmp_path, capsys):
+    report = tmp_path / "r.csv"
+    assert main(["bench", "--n-cars", "100", "--mode", "approx", "-o", str(report)]) == 3
+    assert "elimination width" in capsys.readouterr().err
+    code, summary = run_cli(
+        capsys, "bench", "--n-cars", "40", "--mode", "approx", "--samples", "100", "-o", str(report)
+    )
+    assert code == 0 and summary["rows"] == 1
+
+
+def test_unconverged_dicke_weights_exit_3(monkeypatch, tmp_path, capsys, ex1_file):
+    monkeypatch.setattr(dqi, "POWER_ITERATION_CAP", 1)
+    report = tmp_path / "r.csv"
+    assert main(["bench", "-i", ex1_file, "--l", "2", "-o", str(report)]) == 3
+    assert "power iteration" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

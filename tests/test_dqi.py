@@ -28,6 +28,7 @@ from dqi_bench import (
     satisfied_count,
     shell_sum_A,
 )
+from dqi_bench import dqi
 from dqi_bench.dqi import sample_shell_error
 from oracles import shell_sum_bruteforce
 
@@ -81,6 +82,12 @@ def test_dicke_weights_range_errors():
     with pytest.raises(ValidationError):
         dicke_weights(3, -1)
     assert dicke_weights(3, 0).w == (1.0,)
+
+
+def test_dicke_weights_unconverged_is_capacity_error(monkeypatch):
+    monkeypatch.setattr(dqi, "POWER_ITERATION_CAP", 1)
+    with pytest.raises(CapacityError, match="converge"):
+        dicke_weights(5, 2)
 
 
 # -------------------------------------------------------------- shell sums
