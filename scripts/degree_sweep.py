@@ -12,8 +12,8 @@ import json
 
 import numpy as np
 
-from dqi_bench import encode_icc, generate_instance, reduce_instance, sweep_degree
-from dqi_bench.bench import derive_seed, instance_digest
+from dqi_bench import encode_icc, generate_instance, reduce_instance
+from dqi_bench.bench import DECODER_NAMES, _sweeps, derive_seed, instance_digest
 
 
 def main():
@@ -34,11 +34,8 @@ def main():
                 inst_seed = derive_seed(args.seed, n_cars, i)
                 inst = generate_instance(n_cars, inst_seed)
                 x, _ = reduce_instance(encode_icc(inst), inst)
-                for decoder in ("greedy", "min-length"):
-                    l_star, series = sweep_degree(
-                        inst, decoder=decoder, profile_source="mc",
-                        samples=args.samples, seed=inst_seed,
-                    )
+                sweeps = _sweeps(inst, DECODER_NAMES, "mc", None, args.samples, inst_seed)
+                for decoder, (l_star, series) in zip(DECODER_NAMES, sweeps):
                     l_stars.setdefault((n_cars, decoder), []).append(l_star)
                     for degree, p_tilde in series:
                         writer.writerow([

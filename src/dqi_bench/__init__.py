@@ -29,7 +29,6 @@ from .dqi import (
     DickeWeights,
     DqiEstimate,
     FailureProfile,
-    amplitude_oracle,
     default_degree,
     dicke_weights,
     failure_profile_exact,

@@ -122,7 +122,7 @@ def _check_listable(count: int) -> None:
         raise CapacityError(f"{count} optimal assignments exceed the listing cap of {LISTING_CAP}")
 
 
-def enumerate_optima(x: XorsatInstance) -> tuple[list[tuple[int, ...]], int]:
+def enumerate_optima(x: XorsatInstance, order=None) -> tuple[list[tuple[int, ...]], int]:
     """All assignments maximizing the satisfied-row count, plus that count.
 
     Variable elimination over the (max, +, count) semiring: each distinct
@@ -133,13 +133,15 @@ def enumerate_optima(x: XorsatInstance) -> tuple[list[tuple[int, ...]], int]:
     choices lists every optimum.  Optima come sorted by assignment index
     (variable j maps to bit j-1).  Refuses a system over the elimination-width
     cap, a count that would leave int64, and more than ``LISTING_CAP`` optima.
+    ``order``, when given, is the system's min-fill order, already built.
     """
     n = x.n_vars
     if x.m == 0:
         _check_listable(1 << n)
         return [tuple((i >> j) & 1 for j in range(n)) for i in range(1 << n)], 0
     pairs = _pair_scores(x)
-    order = _elimination_order(n, pairs)
+    if order is None:
+        order = _elimination_order(n, pairs)
     # a table is (scope in ascending order, best score, count of optimal completions)
     tables = [
         (key, np.array([[c0, c1], [c1, c0]], dtype=np.int32), np.ones((2, 2), dtype=np.int64))
@@ -218,7 +220,7 @@ class _Instance:
         self.inst = inst
         self.x, record = _encode(inst, encoding, reduce)
         self.forced_swaps = record.forced_swaps if record else 0
-        _elimination_order(self.x.n_vars, _pair_scores(self.x))
+        self.order = _elimination_order(self.x.n_vars, _pair_scores(self.x))
         self._weights: dict[int, DickeWeights] = {}
 
     @cached_property
@@ -227,7 +229,7 @@ class _Instance:
 
     @cached_property
     def optima(self) -> tuple[list[tuple[int, ...]], int]:
-        return enumerate_optima(self.x)
+        return enumerate_optima(self.x, self.order)
 
     def weights(self, degree: int) -> DickeWeights:
         if degree not in self._weights:
@@ -351,28 +353,35 @@ def sweep_degree(
     the per-degree series.  An instance that reduces to an empty problem
     returns (0, []).
     """
+    return _sweeps(inst, [decoder], profile_source, l_range, samples, seed, encoding, reduce)[0]
+
+
+def _sweeps(inst, decoders, profile_source, l_range, samples, seed, encoding=ICC, reduce=True):
+    """``sweep_degree`` for each decoder in turn, all on one shared instance stage."""
     if profile_source not in ("exact", "mc"):
         raise ValidationError(f"unknown profile source {profile_source!r}")
     stage = _Instance(inst, encoding, reduce)
     x = stage.x
     if x.m == 0:
-        return 0, []
+        return [(0, []) for _ in decoders]
     bound = min(x.n_vars, x.m)
     if l_range is None:
         l_range = range(1, bound + 1)
     l_values = sorted(set(int(v) for v in l_range))
     if not l_values or l_values[0] < 1 or l_values[-1] > bound:
         raise ValidationError(f"degree range must lie within 1..{bound}")
-    profile = stage.profile(decoder, profile_source == "exact", l_values[-1], samples, seed)
-    optima, s_opt = stage.optima
-    series = []
-    for degree in l_values:
-        est = p_opt_approx(
-            len(optima), s_opt, stage.weights(degree), profile, x.n_vars, c_dqi=1.0
-        )
-        series.append((degree, est.p_opt))
-    l_star = max(series, key=lambda pair: (pair[1], -pair[0]))[0]
-    return l_star, series
+    out = []
+    for decoder in decoders:
+        profile = stage.profile(decoder, profile_source == "exact", l_values[-1], samples, seed)
+        optima, s_opt = stage.optima
+        series = []
+        for degree in l_values:
+            est = p_opt_approx(
+                len(optima), s_opt, stage.weights(degree), profile, x.n_vars, c_dqi=1.0
+            )
+            series.append((degree, est.p_opt))
+        out.append((max(series, key=lambda pair: (pair[1], -pair[0]))[0], series))
+    return out
 
 
 def compare_decoders(

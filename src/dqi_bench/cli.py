@@ -179,15 +179,8 @@ def _cmd_sweep(args):
         l_range = range(lo, hi + 1)
     lines = [["n_cars", "decoder", "l", "p_opt_tilde"]]
     l_stars = {}
-    for dec in decoders:
-        l_star, series = bench.sweep_degree(
-            inst,
-            decoder=dec,
-            profile_source=args.profile,
-            l_range=l_range,
-            samples=args.samples,
-            seed=args.seed,
-        )
+    sweeps = bench._sweeps(inst, decoders, args.profile, l_range, args.samples, args.seed)
+    for dec, (l_star, series) in zip(decoders, sweeps):
         l_stars[dec] = l_star
         for degree, p_tilde in series:
             lines.append([inst.n_cars, dec, degree, p_tilde])

@@ -10,7 +10,10 @@ list and takes the first path whose endpoints are still unmatched; the
 minimum-length decoder pairs T optimally by exact subset dynamic
 programming over the pairwise graph distances.
 
-The greedy scan translates gate-for-gate into a reversible circuit of
+``DECODERS`` maps each name to its batch form: a (batch, n_vars) 0/1 array
+of syndromes in, a (batch, m) 0/1 array of decoded errors out.  The greedy
+scan runs once per batch over bit-sliced ints; ``greedy_decode`` is a batch
+of one.  The scan translates gate-for-gate into a reversible circuit of
 CNOT/Toffoli gates over three registers (syndrome, one flag qubit per
 path, error), which is what makes it attractive as an in-circuit decoder.
 """
@@ -19,8 +22,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .encoding import XorsatInstance, syndrome
 from .errors import CapacityError, ValidationError
+
+_T_CAP = 22  # largest syndrome support the min-length decoder pairs
 
 
 @dataclass(frozen=True)
@@ -174,29 +181,44 @@ def build_path_list(g: ConstraintGraph) -> PathList:
     )
 
 
-def greedy_decode(p: PathList, x: XorsatInstance, y) -> DecodeOutcome:
-    """Scan the ordered path list, flipping each path whose endpoints are both unmatched.
+def _greedy_scan(p: PathList, t: list[int], m: int) -> list[int]:
+    """Bit b of ``t[v-1]`` is vertex v's bit in syndrome b; returns word j-1 per edge j.
 
-    T starts as the syndrome support.  Paths need not be disjoint, so an
-    edge may be flipped several times; on a connected component every pair
-    of T-vertices eventually appears, so the scan always empties T.
+    A path fires for the syndromes whose endpoints are both still set: it
+    clears them and flips its edges in their decoded errors.  Paths need not
+    be disjoint; on a connected component every pair of T-vertices appears,
+    so the scan always empties T.
     """
-    y = tuple(int(b) for b in y)
-    syn = syndrome(x, y)
-    t_set = {v for v, bit in enumerate(syn, start=1) if bit}
-    residual = list(y)
+    err = [0] * m
     for entry in p.entries:
-        if entry.u in t_set and entry.v in t_set:
+        fire = t[entry.u - 1] & t[entry.v - 1]
+        if fire:
+            t[entry.u - 1] ^= fire
+            t[entry.v - 1] ^= fire
             for eid in entry.edges:
-                residual[eid - 1] ^= 1
-            t_set.discard(entry.u)
-            t_set.discard(entry.v)
-    residual_t = tuple(residual)
-    return DecodeOutcome(
-        decoded_residual=residual_t,
-        success=not any(residual_t),
-        decoded_error=tuple(a ^ b for a, b in zip(y, residual_t)),
-    )
+                err[eid - 1] ^= fire
+    return err
+
+
+def _outcome(y: tuple[int, ...], decoded) -> DecodeOutcome:
+    decoded = tuple(decoded)
+    residual = tuple(a ^ b for a, b in zip(y, decoded))
+    return DecodeOutcome(decoded_residual=residual, success=not any(residual), decoded_error=decoded)
+
+
+def greedy_decode(p: PathList, x: XorsatInstance, y) -> DecodeOutcome:
+    """Greedy-decode one error: the scan over a batch of one syndrome."""
+    y = tuple(int(b) for b in y)
+    return _outcome(y, _greedy_scan(p, list(syndrome(x, y)), x.m))
+
+
+def greedy_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarray) -> np.ndarray:
+    """Greedy-decode a (batch, n_vars) 0/1 array of syndromes into (batch, m) errors."""
+    packed = np.packbits(syndromes, axis=0, bitorder="little")  # one column per vertex
+    words = _greedy_scan(p, [int.from_bytes(c.tobytes(), "little") for c in packed.T], x.m)
+    size = len(packed)
+    raw = np.frombuffer(b"".join(w.to_bytes(size, "little") for w in words), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(x.m, size), axis=1, count=len(syndromes), bitorder="little").T
 
 
 def _min_weight_pairing(verts: tuple[int, ...], dist) -> tuple[tuple[int, int], ...]:
@@ -231,46 +253,45 @@ def _min_weight_pairing(verts: tuple[int, ...], dist) -> tuple[tuple[int, int], 
     return solve((1 << len(verts)) - 1)[1]
 
 
-def min_length_decode(
-    p: PathList, x: XorsatInstance, y, t_cap: int = 22
-) -> DecodeOutcome:
-    """Decode via an exact minimum-weight perfect matching of the syndrome set.
+def _min_length_join(p: PathList, syn, out, t_cap: int = _T_CAP) -> None:
+    """Flip into ``out`` the paths of a minimum-weight pairing of a 0/1 syndrome's T.
 
-    The matched pairs are expanded through the stored shortest paths and
-    XORed into an error candidate; decoding succeeds iff that candidate
-    equals the true error.  Instances whose syndrome support exceeds
-    ``t_cap`` raise CapacityError instead of attempting the 2^|T| search.
+    T is paired per component.  A T larger than ``t_cap`` raises
+    CapacityError instead of attempting the 2^|T| search.
     """
-    y = tuple(int(b) for b in y)
-    syn = syndrome(x, y)
-    t_all = [v for v, bit in enumerate(syn, start=1) if bit]
-    if len(t_all) > t_cap:
+    support = (np.flatnonzero(syn) + 1).tolist()
+    if len(support) > t_cap:
         raise CapacityError(
-            f"syndrome support {len(t_all)} exceeds matching capacity {t_cap}"
+            f"syndrome support {len(support)} exceeds matching capacity {t_cap}"
         )
     groups: dict[int, list[int]] = {}
-    for v in t_all:
+    for v in support:
         groups.setdefault(p.component[v], []).append(v)
-
-    decoded = [0] * x.m
     for comp_verts in groups.values():
         if len(comp_verts) % 2:
             raise ValidationError("odd syndrome parity within a component")
-        pairs = _min_weight_pairing(tuple(sorted(comp_verts)), p.dist)
-        for a, b in pairs:
-            entry = p.entries[p.index[(a, b)]]
-            for eid in entry.edges:
-                decoded[eid - 1] ^= 1
-    decoded_t = tuple(decoded)
-    residual = tuple(a ^ b for a, b in zip(y, decoded_t))
-    return DecodeOutcome(
-        decoded_residual=residual,
-        success=not any(residual),
-        decoded_error=decoded_t,
-    )
+        for a, b in _min_weight_pairing(tuple(comp_verts), p.dist):
+            for eid in p.entries[p.index[(a, b)]].edges:
+                out[eid - 1] ^= 1
 
 
-DECODERS = {"greedy": greedy_decode, "min-length": min_length_decode}
+def min_length_decode(p: PathList, x: XorsatInstance, y, t_cap: int = _T_CAP) -> DecodeOutcome:
+    """Decode one error via an exact minimum-weight perfect matching of its syndrome."""
+    y = tuple(int(b) for b in y)
+    decoded = [0] * x.m
+    _min_length_join(p, syndrome(x, y), decoded, t_cap)
+    return _outcome(y, decoded)
+
+
+def min_length_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarray) -> np.ndarray:
+    """Min-length-decode a (batch, n_vars) 0/1 array of syndromes into (batch, m) errors."""
+    out = np.zeros((len(syndromes), x.m), dtype=np.uint8)
+    for row, syn in zip(out, syndromes):
+        _min_length_join(p, syn, row)
+    return out
+
+
+DECODERS = {"greedy": greedy_decode_batch, "min-length": min_length_decode_batch}
 
 
 def emit_circuit(p: PathList, g: ConstraintGraph) -> GateList:

@@ -8,14 +8,15 @@ correctly decoded weight-k errors; the probability density of measuring an
 assignment x combines the per-shell signed sums over D_k.
 
 Everything here is classical: failure rates are measured by enumerating or
-sampling errors, and densities are evaluated in closed form.  Probability
+sampling errors, and densities are evaluated in closed form.  A profile
+decodes each distinct syndrome of its errors once, in one batch.  Probability
 arithmetic is 64-bit float; binomial coefficients and shell sums are exact
 integers converted as late as possible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, inf, sqrt
 
 import numpy as np
@@ -138,47 +139,44 @@ class FailureProfile:
             raise ValidationError("weight-0 errors always decode: eps[0] must be 0")
 
 
-class _SyndromeDecoder:
-    """Runs a named decoder with a per-syndrome cache.
+def _combinations(m: int, k: int) -> np.ndarray:
+    """Every weight-k error as a row of 0-based positions, in lexicographic order."""
+    flat = chain.from_iterable(combinations(range(m), k))
+    size = comb(m, k)
+    return np.fromiter(flat, dtype=np.min_scalar_type(m), count=size * k).reshape(size, k)
 
-    Both decoders choose their edge set from the syndrome alone, so the
-    decoded error is cached per distinct syndrome (as a bitmask) and
-    repeated shells cost one dictionary lookup per error.
+
+def _shell_successes(
+    decoder: str, x: XorsatInstance, paths: PathList | None, shells: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Which errors of each shell the decoder returns unchanged.
+
+    A shell holds one error per row, as k 0-based positions.  Each distinct
+    syndrome across all shells is decoded once, in one batch.
     """
+    if decoder not in DECODERS:
+        raise ValidationError(f"unknown decoder {decoder!r}")
+    if paths is None:
+        paths = build_path_list(build_graph(x))
+    # bit v of a packed syndrome is vertex v; bit 0 stays clear, so no syndrome is 0 bytes wide
+    ends = np.array(x.rows, dtype=np.intp).reshape(x.m, 2)
+    incidence = np.eye(x.n_vars + 1, dtype=bool)[ends].any(axis=1)
+    packed = np.packbits(incidence, axis=1, bitorder="little")
+    syndromes = np.concatenate([np.bitwise_xor.reduce(packed[pos], axis=1) for pos in shells])
+    keys = syndromes.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    distinct = distinct.view(np.uint8).reshape(len(distinct), -1)
+    bits = np.unpackbits(distinct, axis=1, count=x.n_vars + 1, bitorder="little")[:, 1:]
+    decoded = DECODERS[decoder](paths, x, bits)
+    weight = decoded.sum(axis=1)
+    return [
+        (weight[idx] == pos.shape[1]) & decoded[idx[:, None], pos].all(axis=1)
+        for pos, idx in zip(shells, np.split(inverse, np.cumsum([len(s) for s in shells])[:-1]))
+    ]
 
-    def __init__(self, decoder: str, x: XorsatInstance, paths: PathList | None = None):
-        if decoder not in DECODERS:
-            raise ValidationError(f"unknown decoder {decoder!r}")
-        self.decoder = decoder
-        self.x = x
-        self.paths = paths if paths is not None else build_path_list(build_graph(x))
-        self.row_masks = [
-            (1 << (a - 1)) | (1 << (b - 1)) for a, b in x.rows
-        ]
-        self._cache: dict[int, int] = {}
 
-    def decoded_error_mask(self, positions) -> int:
-        syn = 0
-        for j in positions:
-            syn ^= self.row_masks[j]
-        hit = self._cache.get(syn)
-        if hit is None:
-            y = [0] * self.x.m
-            for j in positions:
-                y[j] = 1
-            outcome = DECODERS[self.decoder](self.paths, self.x, tuple(y))
-            hit = 0
-            for i, bit in enumerate(outcome.decoded_error):
-                if bit:
-                    hit |= 1 << i
-            self._cache[syn] = hit
-        return hit
-
-    def succeeds(self, positions) -> bool:
-        err = 0
-        for j in positions:
-            err |= 1 << j
-        return self.decoded_error_mask(positions) == err
+def _failure_rates(successes: list[np.ndarray]) -> tuple[float, ...]:
+    return tuple((len(ok) - int(np.count_nonzero(ok))) / len(ok) for ok in successes)
 
 
 def failure_profile_exact(
@@ -202,24 +200,16 @@ def failure_profile_exact(
             f"exact profile needs {total} decodes (> budget {budget}); "
             "use the Monte Carlo profile instead"
         )
-    runner = _SyndromeDecoder(decoder, x, paths)
-    eps = []
-    sizes = []
-    decoded_sets = []
-    for k in range(l + 1):
-        size = comb(x.m, k)
-        good = [pos for pos in combinations(range(x.m), k) if runner.succeeds(pos)]
-        eps.append((size - len(good)) / size)
-        sizes.append(size)
-        decoded_sets.append(np.array(good, dtype=np.int64).reshape(len(good), k))
+    shells = [_combinations(x.m, k) for k in range(l + 1)]
+    successes = _shell_successes(decoder, x, paths, shells)
     return FailureProfile(
         mode="exact",
         decoder=decoder,
         m=x.m,
         l=l,
-        eps=tuple(eps),
-        shell_sizes=tuple(sizes),
-        decoded_sets=tuple(decoded_sets),
+        eps=_failure_rates(successes),
+        shell_sizes=tuple(len(pos) for pos in shells),
+        decoded_sets=tuple(pos[ok].astype(np.int64) for pos, ok in zip(shells, successes)),
     )
 
 
@@ -251,31 +241,20 @@ def failure_profile_mc(
         raise ValidationError("samples must be >= 1")
     if not 0 <= l <= x.m:
         raise ValidationError(f"degree l={l} out of range 0..{x.m}")
-    runner = _SyndromeDecoder(decoder, x, paths)
-    eps = []
-    sizes = []
-    for k in range(l + 1):
-        size = comb(x.m, k)
-        sizes.append(size)
-        if size <= samples:
-            fails = sum(
-                0 if runner.succeeds(pos) else 1
-                for pos in combinations(range(x.m), k)
-            )
-            eps.append(fails / size)
-        else:
-            fails = sum(
-                0 if runner.succeeds(sample_shell_error(x.m, k, seed, i)) else 1
-                for i in range(samples)
-            )
-            eps.append(fails / samples)
+    sizes = tuple(comb(x.m, k) for k in range(l + 1))
+    shells = [
+        _combinations(x.m, k) if size <= samples else np.array(
+            [sample_shell_error(x.m, k, seed, i) for i in range(samples)], np.min_scalar_type(x.m)
+        )
+        for k, size in enumerate(sizes)
+    ]
     return FailureProfile(
         mode="monte_carlo",
         decoder=decoder,
         m=x.m,
         l=l,
-        eps=tuple(eps),
-        shell_sizes=tuple(sizes),
+        eps=_failure_rates(_shell_successes(decoder, x, paths, shells)),
+        shell_sizes=sizes,
         samples_per_shell=samples,
         seed=seed,
     )
@@ -350,56 +329,6 @@ def p_approx(
         frac = 1.0 - profile.eps[k]
         total += wk * wk * frac * frac * ((a_ks * a_ks) / comb(m, k))
     return total / (r_norm * 2.0**n)
-
-
-def amplitude_oracle(
-    x: XorsatInstance, weights: DickeWeights, profile: FailureProfile
-) -> np.ndarray:
-    """Basis-state amplitude magnitudes, built directly from the state definition.
-
-    For each shell the pre-transform syndrome state is accumulated (phase
-    (-1)^{targets . y} at basis index syndrome(y)) and pushed through a
-    fast Walsh-Hadamard transform; per-shell contributions combine in
-    quadrature, matching the per-shell-squared density.  Independent of
-    p_exact's satisfied-row bookkeeping, this is the oracle used to verify
-    it: squared magnitudes must match the density pointwise.
-    """
-    if profile.mode != "exact" or profile.decoded_sets is None:
-        raise ValidationError("amplitude oracle needs an exact profile with decoded sets")
-    if x.n_vars > 20:
-        raise CapacityError(f"amplitude oracle limited to 20 variables, got {x.n_vars}")
-    _check_weights_profile(weights, profile, x.m)
-    n = x.n_vars
-    size = 1 << n
-    row_masks = np.array(
-        [(1 << (a - 1)) | (1 << (b - 1)) for a, b in x.rows], dtype=np.int64
-    )
-    targets = np.array(x.targets, dtype=np.int64)
-    r_norm = normalization(weights, profile)
-    squared = np.zeros(size)
-    for k, wk in enumerate(weights.w):
-        d_k = profile.decoded_sets[k]
-        syn = np.bitwise_xor.reduce(row_masks[d_k], axis=1)
-        parity = np.bitwise_xor.reduce(targets[d_k], axis=1)
-        psi = np.zeros(size)
-        np.add.at(psi, syn, 1.0 - 2.0 * parity)
-        transformed = _walsh_hadamard(psi)
-        scale = wk / sqrt(profile.shell_sizes[k] * size)
-        squared += (scale * transformed) ** 2
-    return np.sqrt(squared / r_norm)
-
-
-def _walsh_hadamard(vec: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of a length-2^n vector."""
-    n = len(vec)
-    h = 1
-    while h < n:
-        vec = vec.reshape(n // (2 * h), 2, h)
-        top = vec[:, 0, :] + vec[:, 1, :]
-        bottom = vec[:, 0, :] - vec[:, 1, :]
-        vec = np.stack([top, bottom], axis=1)
-        h *= 2
-    return vec.reshape(n)
 
 
 @dataclass(frozen=True)

@@ -371,12 +371,19 @@ def read_xorsat(path) -> XorsatInstance:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError("top-level value must be an object")
     for fieldname in ("n_vars", "rows", "targets", "labels"):
         if fieldname not in data:
             raise ParseError(f"missing field '{fieldname}'")
     labels = data["labels"]
+    if not isinstance(labels, dict):
+        raise ParseError("field 'labels' must be an object")
+    vars_field = labels.get("vars", {})
+    if not isinstance(vars_field, dict):
+        raise ParseError("field 'labels.vars' must map variable ids to integers")
     try:
-        var_labels = {int(i): int(lab) for i, lab in labels.get("vars", {}).items()}
+        var_labels = {int(i): int(lab) for i, lab in vars_field.items()}
     except (TypeError, ValueError) as exc:
         raise ParseError("field 'labels.vars' must map variable ids to integers") from exc
     try:

@@ -8,10 +8,34 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations, product
+from math import comb, sqrt
 
 import numpy as np
+from hypothesis import strategies as st
 
-from dqi_bench import BpspInstance, CapacityError, Coloring, XorsatInstance, paint_swaps
+from dqi_bench import (
+    BpspInstance,
+    CapacityError,
+    Coloring,
+    DecodeOutcome,
+    DickeWeights,
+    FailureProfile,
+    PathList,
+    ValidationError,
+    XorsatInstance,
+    build_graph,
+    build_path_list,
+    min_length_decode,
+    paint_swaps,
+    syndrome,
+)
+from dqi_bench.dqi import (
+    DEFAULT_SAMPLES,
+    ENUMERATION_BUDGET,
+    _check_weights_profile,
+    normalization,
+    sample_shell_error,
+)
 
 
 def induced_coloring(inst: BpspInstance, car_bits) -> Coloring:
@@ -34,6 +58,20 @@ def min_swaps_bruteforce(inst: BpspInstance) -> int:
         if best is None or swaps < best:
             best = swaps
     return best
+
+
+@st.composite
+def parity_systems(draw):
+    """Random two-variable systems: parallel rows with either target, isolated
+    variables and several components all occur."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    if n == 1:
+        return XorsatInstance(n_vars=1, rows=(), targets=())
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    rows = draw(st.lists(pair, max_size=3 * n))
+    rows += draw(st.sampled_from([[], rows[:2]]))  # repeat some rows, maybe with other targets
+    targets = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    return XorsatInstance(n_vars=n, rows=tuple(rows), targets=tuple(targets))
 
 
 def satisfied_direct(x: XorsatInstance, assign) -> int:
@@ -251,3 +289,205 @@ def parse_lp(text, n_vars, m):
                 lower.append(float(bound))
                 upper.append(np.inf)
     return c, np.array(rows), np.array(lower), np.array(upper)
+
+
+def greedy_decode_sets(p: PathList, x: XorsatInstance, y) -> DecodeOutcome:
+    """Scan the ordered path list, flipping each path whose endpoints are both unmatched.
+
+    T starts as the syndrome support.  Paths need not be disjoint, so an
+    edge may be flipped several times; on a connected component every pair
+    of T-vertices eventually appears, so the scan always empties T.
+    """
+    y = tuple(int(b) for b in y)
+    syn = syndrome(x, y)
+    t_set = {v for v, bit in enumerate(syn, start=1) if bit}
+    residual = list(y)
+    for entry in p.entries:
+        if entry.u in t_set and entry.v in t_set:
+            for eid in entry.edges:
+                residual[eid - 1] ^= 1
+            t_set.discard(entry.u)
+            t_set.discard(entry.v)
+    residual_t = tuple(residual)
+    return DecodeOutcome(
+        decoded_residual=residual_t,
+        success=not any(residual_t),
+        decoded_error=tuple(a ^ b for a, b in zip(y, residual_t)),
+    )
+
+
+# the single-error decoders the per-error profiles below run
+SCALAR_DECODERS = {"greedy": greedy_decode_sets, "min-length": min_length_decode}
+
+
+class _SyndromeDecoder:
+    """Runs a named decoder with a per-syndrome cache.
+
+    Both decoders choose their edge set from the syndrome alone, so the
+    decoded error is cached per distinct syndrome (as a bitmask) and
+    repeated shells cost one dictionary lookup per error.
+    """
+
+    def __init__(self, decoder: str, x: XorsatInstance, paths: PathList | None = None):
+        if decoder not in SCALAR_DECODERS:
+            raise ValidationError(f"unknown decoder {decoder!r}")
+        self.decoder = decoder
+        self.x = x
+        self.paths = paths if paths is not None else build_path_list(build_graph(x))
+        self.row_masks = [
+            (1 << (a - 1)) | (1 << (b - 1)) for a, b in x.rows
+        ]
+        self._cache: dict[int, int] = {}
+
+    def decoded_error_mask(self, positions) -> int:
+        syn = 0
+        for j in positions:
+            syn ^= self.row_masks[j]
+        hit = self._cache.get(syn)
+        if hit is None:
+            y = [0] * self.x.m
+            for j in positions:
+                y[j] = 1
+            outcome = SCALAR_DECODERS[self.decoder](self.paths, self.x, tuple(y))
+            hit = 0
+            for i, bit in enumerate(outcome.decoded_error):
+                if bit:
+                    hit |= 1 << i
+            self._cache[syn] = hit
+        return hit
+
+    def succeeds(self, positions) -> bool:
+        err = 0
+        for j in positions:
+            err |= 1 << j
+        return self.decoded_error_mask(positions) == err
+
+
+def failure_profile_exact_loop(
+    decoder: str,
+    x: XorsatInstance,
+    l: int,
+    paths: PathList | None = None,
+    budget: int = ENUMERATION_BUDGET,
+) -> FailureProfile:
+    """The exact failure profile, scoring one enumerated error at a time."""
+    if not 0 <= l <= x.m:
+        raise ValidationError(f"degree l={l} out of range 0..{x.m}")
+    total = sum(comb(x.m, k) for k in range(l + 1))
+    if total > budget:
+        raise CapacityError(
+            f"exact profile needs {total} decodes (> budget {budget}); "
+            "use the Monte Carlo profile instead"
+        )
+    runner = _SyndromeDecoder(decoder, x, paths)
+    eps = []
+    sizes = []
+    decoded_sets = []
+    for k in range(l + 1):
+        size = comb(x.m, k)
+        good = [pos for pos in combinations(range(x.m), k) if runner.succeeds(pos)]
+        eps.append((size - len(good)) / size)
+        sizes.append(size)
+        decoded_sets.append(np.array(good, dtype=np.int64).reshape(len(good), k))
+    return FailureProfile(
+        mode="exact",
+        decoder=decoder,
+        m=x.m,
+        l=l,
+        eps=tuple(eps),
+        shell_sizes=tuple(sizes),
+        decoded_sets=tuple(decoded_sets),
+    )
+
+
+def failure_profile_mc_loop(
+    decoder: str,
+    x: XorsatInstance,
+    l: int,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
+    paths: PathList | None = None,
+) -> FailureProfile:
+    """The Monte Carlo failure profile, scoring one enumerated or drawn error at a time."""
+    if samples < 1:
+        raise ValidationError("samples must be >= 1")
+    if not 0 <= l <= x.m:
+        raise ValidationError(f"degree l={l} out of range 0..{x.m}")
+    runner = _SyndromeDecoder(decoder, x, paths)
+    eps = []
+    sizes = []
+    for k in range(l + 1):
+        size = comb(x.m, k)
+        sizes.append(size)
+        if size <= samples:
+            fails = sum(
+                0 if runner.succeeds(pos) else 1
+                for pos in combinations(range(x.m), k)
+            )
+            eps.append(fails / size)
+        else:
+            fails = sum(
+                0 if runner.succeeds(sample_shell_error(x.m, k, seed, i)) else 1
+                for i in range(samples)
+            )
+            eps.append(fails / samples)
+    return FailureProfile(
+        mode="monte_carlo",
+        decoder=decoder,
+        m=x.m,
+        l=l,
+        eps=tuple(eps),
+        shell_sizes=tuple(sizes),
+        samples_per_shell=samples,
+        seed=seed,
+    )
+
+
+def amplitude_oracle(
+    x: XorsatInstance, weights: DickeWeights, profile: FailureProfile
+) -> np.ndarray:
+    """Basis-state amplitude magnitudes, built directly from the state definition.
+
+    For each shell the pre-transform syndrome state is accumulated (phase
+    (-1)^{targets . y} at basis index syndrome(y)) and pushed through a
+    fast Walsh-Hadamard transform; per-shell contributions combine in
+    quadrature, matching the per-shell-squared density.  Independent of
+    p_exact's satisfied-row bookkeeping, this is the oracle used to verify
+    it: squared magnitudes must match the density pointwise.
+    """
+    if profile.mode != "exact" or profile.decoded_sets is None:
+        raise ValidationError("amplitude oracle needs an exact profile with decoded sets")
+    if x.n_vars > 20:
+        raise CapacityError(f"amplitude oracle limited to 20 variables, got {x.n_vars}")
+    _check_weights_profile(weights, profile, x.m)
+    n = x.n_vars
+    size = 1 << n
+    row_masks = np.array(
+        [(1 << (a - 1)) | (1 << (b - 1)) for a, b in x.rows], dtype=np.int64
+    )
+    targets = np.array(x.targets, dtype=np.int64)
+    r_norm = normalization(weights, profile)
+    squared = np.zeros(size)
+    for k, wk in enumerate(weights.w):
+        d_k = profile.decoded_sets[k]
+        syn = np.bitwise_xor.reduce(row_masks[d_k], axis=1)
+        parity = np.bitwise_xor.reduce(targets[d_k], axis=1)
+        psi = np.zeros(size)
+        np.add.at(psi, syn, 1.0 - 2.0 * parity)
+        transformed = _walsh_hadamard(psi)
+        scale = wk / sqrt(profile.shell_sizes[k] * size)
+        squared += (scale * transformed) ** 2
+    return np.sqrt(squared / r_norm)
+
+
+def _walsh_hadamard(vec: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a length-2^n vector."""
+    n = len(vec)
+    h = 1
+    while h < n:
+        vec = vec.reshape(n // (2 * h), 2, h)
+        top = vec[:, 0, :] + vec[:, 1, :]
+        bottom = vec[:, 0, :] - vec[:, 1, :]
+        vec = np.stack([top, bottom], axis=1)
+        h *= 2
+    return vec.reshape(n)

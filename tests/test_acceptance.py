@@ -13,7 +13,6 @@ import pytest
 
 from dqi_bench import (
     BpspInstance,
-    amplitude_oracle,
     build_graph,
     build_path_list,
     code_distance,
@@ -40,7 +39,7 @@ from dqi_bench import (
     validate_approximation,
 )
 from dqi_bench.bench import derive_seed
-from oracles import parse_lp, shell_sum_bruteforce
+from oracles import amplitude_oracle, parse_lp, shell_sum_bruteforce
 
 BASE_SEED = 20250808
 EX1 = BpspInstance(5, (1, 2, 1, 3, 4, 5, 2, 5, 3, 4))

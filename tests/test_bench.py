@@ -23,7 +23,13 @@ from dqi_bench import (
 )
 from dqi_bench import bench
 from dqi_bench.bench import aggregate_rows, write_aggregate_csv, write_report_csv
-from oracles import enumerate_optima_scan, lp_optimum_bruteforce, min_swaps_bruteforce, parse_lp
+from oracles import (
+    enumerate_optima_scan,
+    lp_optimum_bruteforce,
+    min_swaps_bruteforce,
+    parity_systems,
+    parse_lp,
+)
 
 instances = st.builds(
     generate_instance,
@@ -67,20 +73,6 @@ def test_enumerate_optima_listing_cap():
     x = XorsatInstance(n_vars=bench.LISTING_CAP.bit_length(), rows=(), targets=())
     with pytest.raises(CapacityError, match="listing cap"):
         enumerate_optima(x)
-
-
-@st.composite
-def parity_systems(draw):
-    """Random two-variable systems: parallel rows with either target, isolated
-    variables and several components all occur."""
-    n = draw(st.integers(min_value=1, max_value=12))
-    if n == 1:
-        return XorsatInstance(n_vars=1, rows=(), targets=())
-    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
-    rows = draw(st.lists(pair, max_size=3 * n))
-    rows += draw(st.sampled_from([[], rows[:2]]))  # repeat some rows, maybe with other targets
-    targets = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
-    return XorsatInstance(n_vars=n, rows=tuple(rows), targets=tuple(targets))
 
 
 @settings(max_examples=200, deadline=None)
@@ -244,6 +236,20 @@ def test_compare_decoders_matches_separate_pipelines(encoding, samples):
         assert _without_time(rows) == _without_time(separate)
 
 
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_run_pipeline_builds_elimination_order_once(monkeypatch, ex1, mode):
+    calls = []
+    order = bench._elimination_order
+
+    def counting(*args):
+        calls.append(args)
+        return order(*args)
+
+    monkeypatch.setattr(bench, "_elimination_order", counting)
+    run_pipeline(ex1, mode=mode, samples=30)
+    assert len(calls) == 1
+
+
 def test_compare_decoders_searches_once(monkeypatch, ex1):
     calls = []
     search = bench.enumerate_optima
@@ -322,9 +328,9 @@ def test_validate_searches_once_per_instance(monkeypatch):
     calls = []
     search = bench.enumerate_optima
 
-    def counting(x):
+    def counting(x, *args):
         calls.append(x)
-        return search(x)
+        return search(x, *args)
 
     monkeypatch.setattr(bench, "enumerate_optima", counting)
     rows, _, _ = validate_approximation([5], instances_per_n=3, seed=2, samples=20)

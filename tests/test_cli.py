@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from dqi_bench import dqi, read_instance, read_xorsat, write_instance
+from dqi_bench import bench, dqi, read_instance, read_xorsat, write_instance
 from dqi_bench.cli import main
 
 
@@ -152,6 +152,27 @@ def test_sweep(tmp_path, capsys, ex1_file):
     assert len(lines) == 1 + 4  # degrees 1..min(n, m) = 4
 
 
+def test_sweep_both_shares_one_stage(monkeypatch, tmp_path, capsys, ex1_file):
+    def sweep(decoder):
+        path = tmp_path / f"{decoder}.csv"
+        argv = ["sweep", "--decoder", decoder, "--samples", "40", "--seed", "3", "-i", ex1_file]
+        assert main([*argv, "-o", str(path)]) == 0
+        return path.read_text().splitlines()
+
+    greedy, minlen = sweep("greedy"), sweep("min-length")
+    calls = []
+    for name in ("build_path_list", "enumerate_optima"):
+        def counting(*args, _fn=getattr(bench, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(bench, name, counting)
+    both = sweep("both")
+    capsys.readouterr()
+    assert both == greedy + minlen[1:]
+    assert sorted(calls) == ["build_path_list", "enumerate_optima"]
+
+
 def test_validate_approx(tmp_path, capsys):
     out = tmp_path / "va.csv"
     agg = tmp_path / "agg.csv"
@@ -225,3 +246,19 @@ def test_unconverged_dicke_weights_exit_3(monkeypatch, tmp_path, capsys, ex1_fil
 
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["encode", "-i", str(tmp_path / "nope.json"), "-o", "x"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "5",
+        '{"n_vars": 2, "rows": [[1, 2]], "targets": [0], "labels": []}',
+        '{"n_vars": 2, "rows": [[1, 2]], "targets": [0], "labels": {"vars": [1, 2]}}',
+    ],
+    ids=["top-level-number", "labels-not-object", "labels-vars-not-object"],
+)
+def test_malformed_system_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "f.json"
+    bad.write_text(text)
+    assert main(["distance", "-i", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -3,7 +3,7 @@ from math import comb, isinf, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dqi_bench import (
@@ -11,7 +11,6 @@ from dqi_bench import (
     FailureProfile,
     ValidationError,
     XorsatInstance,
-    amplitude_oracle,
     build_graph,
     build_path_list,
     default_degree,
@@ -30,7 +29,13 @@ from dqi_bench import (
 )
 from dqi_bench import dqi
 from dqi_bench.dqi import sample_shell_error
-from oracles import shell_sum_bruteforce
+from oracles import (
+    amplitude_oracle,
+    failure_profile_exact_loop,
+    failure_profile_mc_loop,
+    parity_systems,
+    shell_sum_bruteforce,
+)
 
 instances = st.builds(
     generate_instance,
@@ -185,6 +190,59 @@ def test_mc_profile_concentration():
         if abs(est.eps[k] - exact) <= 4 * sigma:
             hits += 1
     assert hits >= 99
+
+
+EMPTY = XorsatInstance(n_vars=0, rows=(), targets=())
+
+
+def assert_same_exact(got, want):
+    assert got.eps == want.eps and got.shell_sizes == want.shell_sizes
+    assert len(got.decoded_sets) == len(want.decoded_sets)
+    for d_got, d_want in zip(got.decoded_sets, want.decoded_sets):
+        assert d_got.dtype == d_want.dtype == np.int64
+        assert d_got.shape == d_want.shape and np.array_equal(d_got, d_want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    parity_systems(),
+    st.sampled_from(["greedy", "min-length"]),
+    st.integers(0, 3),
+    st.integers(1, 20),
+    st.integers(0, 2**32),
+)
+@example(EMPTY, "greedy", 0, 5, 0)
+@example(EMPTY, "min-length", 0, 5, 0)
+def test_profiles_match_per_error_oracle(x, decoder, l, samples, seed):
+    # small sample counts make low shells enumerated and higher ones drawn
+    l = min(l, x.m)
+    exact = failure_profile_exact(decoder, x, l)
+    assert_same_exact(exact, failure_profile_exact_loop(decoder, x, l))
+    l_mc = min(l + 1, x.m)
+    mc = failure_profile_mc(decoder, x, l_mc, samples=samples, seed=seed)
+    assert mc.eps == failure_profile_mc_loop(decoder, x, l_mc, samples=samples, seed=seed).eps
+
+
+def test_profiles_past_int16_positions():
+    # 40000 rows: the lone edge 2-3 is the last row, so it decodes only if
+    # positions past 32767 survive
+    rows = ((1, 2),) * 39999 + ((2, 3),)
+    x = XorsatInstance(n_vars=3, rows=rows, targets=(0,) * len(rows))
+    exact = failure_profile_exact("greedy", x, 1)
+    assert exact.decoded_sets[1].tolist() == [[0], [39999]]
+    assert_same_exact(exact, failure_profile_exact_loop("greedy", x, 1))
+    mc = failure_profile_mc("greedy", x, 2, samples=5, seed=1)
+    assert mc.eps == failure_profile_mc_loop("greedy", x, 2, samples=5, seed=1).eps
+
+
+def test_profile_counts_only_exact_decodes(monkeypatch, ex1_reduced):
+    # a decoder answering every nonzero syndrome with all rows covers each
+    # weight-1 error's position, yet returns a different error
+    def all_rows(p, x, syndromes):
+        return np.repeat(syndromes.any(axis=1, keepdims=True), x.m, axis=1).astype(np.uint8)
+
+    monkeypatch.setitem(dqi.DECODERS, "greedy", all_rows)
+    assert failure_profile_exact("greedy", ex1_reduced[0], 1).eps == (0.0, 1.0)
 
 
 # --------------------------------------------------------------- densities
