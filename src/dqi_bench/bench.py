@@ -25,6 +25,7 @@ from .decoder import PathList, build_graph, build_path_list, gate_cost
 from .dqi import (
     DEFAULT_SAMPLES,
     DickeWeights,
+    check_exact_budget,
     default_degree,
     dicke_weights,
     failure_profile_exact,
@@ -210,10 +211,9 @@ class _Instance:
     """One instance, encoded and reduced, and what every decoder's row shares.
 
     Construction refuses an optimum search over the elimination-width cap
-    (``WIDTH_CAP``) before any other work.  The path list, the optimum search
-    and the Dicke weights run on first use and only once, so the search
-    follows the first decoder's profile: an exact profile over its budget
-    refuses before the search.
+    (``WIDTH_CAP``) before any other work, and the row builders then refuse
+    an exact profile over its syndrome budget.  The path list, the optimum
+    search and the Dicke weights run on first use and only once.
     """
 
     def __init__(self, inst: BpspInstance, encoding: str, reduce: bool):
@@ -259,6 +259,8 @@ def _pipeline_rows(inst, runs, encoding, reduce, l, samples, seed) -> list[dict]
             raise ValidationError(
                 f"degree {degree} outside 1..min(n={x.n_vars}, m={x.m})"
             )
+        if any(mode == "exact" for _, mode in runs):
+            check_exact_budget(x, degree)
         dist = code_distance(x, cap=DISTANCE_CAP)
         if dist is None:
             dist = f">{DISTANCE_CAP}"
@@ -326,10 +328,10 @@ def run_pipeline(
 ) -> dict:
     """Full single-instance benchmark; returns one report row.
 
-    ``mode="exact"`` enumerates every error up to the degree and sums the
-    exact density over all optima; ``mode="approx"`` estimates failure
-    rates by sampling and evaluates the closed-form density at the optimal
-    satisfied-count.  The per-run gate cost is the leading-order circuit
+    ``mode="exact"`` decodes every syndrome an error up to the degree can
+    have and sums the exact density over all optima; ``mode="approx"``
+    estimates failure rates by sampling and evaluates the closed-form
+    density at the optimal satisfied-count.  The per-run gate cost is the leading-order circuit
     count for the greedy decoder and n^4 for the minimum-length decoder.
     """
     return _pipeline_rows(inst, [(decoder, mode)], encoding, reduce, l, samples, seed)[0]
@@ -370,6 +372,8 @@ def _sweeps(inst, decoders, profile_source, l_range, samples, seed, encoding=ICC
     l_values = sorted(set(int(v) for v in l_range))
     if not l_values or l_values[0] < 1 or l_values[-1] > bound:
         raise ValidationError(f"degree range must lie within 1..{bound}")
+    if profile_source == "exact":
+        check_exact_budget(x, l_values[-1])
     out = []
     for decoder in decoders:
         profile = stage.profile(decoder, profile_source == "exact", l_values[-1], samples, seed)

@@ -7,15 +7,17 @@ means finding an edge subset whose odd-degree vertex set equals the
 syndrome support T (a T-join).  Both decoders here pick a T-join built
 from precomputed shortest paths: the greedy decoder scans an ordered path
 list and takes the first path whose endpoints are still unmatched; the
-minimum-length decoder pairs T optimally by exact subset dynamic
+minimum-length decoder pairs T optimally per component by subset dynamic
 programming over the pairwise graph distances.
 
 ``DECODERS`` maps each name to its batch form: a (batch, n_vars) 0/1 array
 of syndromes in, a (batch, m) 0/1 array of decoded errors out.  The greedy
-scan runs once per batch over bit-sliced ints; ``greedy_decode`` is a batch
-of one.  The scan translates gate-for-gate into a reversible circuit of
-CNOT/Toffoli gates over three registers (syndrome, one flag qubit per
-path, error), which is what makes it attractive as an in-circuit decoder.
+scan runs once per batch over bit-sliced ints; the pairing shares one memo
+of solved vertex sets across the batch.  ``greedy_decode`` and
+``min_length_decode`` are batches of one.  The scan translates
+gate-for-gate into a reversible circuit of CNOT/Toffoli gates over three
+registers (syndrome, one flag qubit per path, error), which is what makes
+it attractive as an in-circuit decoder.
 """
 from __future__ import annotations
 
@@ -221,74 +223,79 @@ def greedy_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarray) -
     return np.unpackbits(raw.reshape(x.m, size), axis=1, count=len(syndromes), bitorder="little").T
 
 
-def _min_weight_pairing(verts: tuple[int, ...], dist) -> tuple[tuple[int, int], ...]:
-    """Exact minimum-weight perfect matching of an even vertex set.
+def _pairing(mask: int, memo: dict[int, tuple[int, int]], link) -> tuple[int, int]:
+    """Minimum-weight perfect matching of the vertices in ``mask``: (weight, error bits).
 
-    Subset dynamic programming, O(2^t * t^2): the lowest unmatched vertex
-    is paired with every candidate partner.  Among equal-weight matchings
-    the lexicographically smallest pair list wins, which pins the decoder's
-    tie-breaking.
+    Bit i of ``mask`` is vertex i+1, all in one component; bit j-1 of the
+    error is edge j.  Subset dynamic programming: the lowest vertex is
+    paired with each partner in ascending order, and a strict ``<`` keeps
+    the first of equal weights, so the lexicographically smallest pair list
+    wins.  ``link[i][j]`` is the (distance, path edge bits) of vertices
+    i+1 < j+1; ``memo`` holds every solved mask and is shared by a whole batch.
     """
-    memo: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {0: (0, ())}
-
-    def solve(mask: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        i = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << i)
-        best = None
-        sub_mask = rest
-        while sub_mask:
-            j = (sub_mask & -sub_mask).bit_length() - 1
-            sub_mask ^= 1 << j
-            a, b = verts[i], verts[j]
-            w_sub, pairs = solve(rest ^ (1 << j))
-            cand = (w_sub + dist[(a, b)], ((a, b),) + pairs)
-            if best is None or cand < best:
-                best = cand
-        memo[mask] = best
-        return best
-
-    return solve((1 << len(verts)) - 1)[1]
-
-
-def _min_length_join(p: PathList, syn, out, t_cap: int = _T_CAP) -> None:
-    """Flip into ``out`` the paths of a minimum-weight pairing of a 0/1 syndrome's T.
-
-    T is paired per component.  A T larger than ``t_cap`` raises
-    CapacityError instead of attempting the 2^|T| search.
-    """
-    support = (np.flatnonzero(syn) + 1).tolist()
-    if len(support) > t_cap:
-        raise CapacityError(
-            f"syndrome support {len(support)} exceeds matching capacity {t_cap}"
-        )
-    groups: dict[int, list[int]] = {}
-    for v in support:
-        groups.setdefault(p.component[v], []).append(v)
-    for comp_verts in groups.values():
-        if len(comp_verts) % 2:
-            raise ValidationError("odd syndrome parity within a component")
-        for a, b in _min_weight_pairing(tuple(comp_verts), p.dist):
-            for eid in p.entries[p.index[(a, b)]].edges:
-                out[eid - 1] ^= 1
+    hit = memo.get(mask)
+    if hit is not None:
+        return hit
+    low = mask & -mask
+    row = link[low.bit_length() - 1]
+    rest = mask ^ low
+    best_w = best_e = None
+    partners = rest
+    while partners:
+        bit = partners & -partners
+        partners ^= bit
+        dist, edges = row[bit.bit_length() - 1]
+        w, e = _pairing(rest ^ bit, memo, link)
+        if best_w is None or w + dist < best_w:
+            best_w, best_e = w + dist, e ^ edges
+    memo[mask] = best = (best_w, best_e)
+    return best
 
 
 def min_length_decode(p: PathList, x: XorsatInstance, y, t_cap: int = _T_CAP) -> DecodeOutcome:
     """Decode one error via an exact minimum-weight perfect matching of its syndrome."""
     y = tuple(int(b) for b in y)
-    decoded = [0] * x.m
-    _min_length_join(p, syndrome(x, y), decoded, t_cap)
-    return _outcome(y, decoded)
+    syn = np.array([syndrome(x, y)], dtype=np.uint8)
+    return _outcome(y, min_length_decode_batch(p, x, syn, t_cap)[0])
 
 
-def min_length_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarray) -> np.ndarray:
-    """Min-length-decode a (batch, n_vars) 0/1 array of syndromes into (batch, m) errors."""
-    out = np.zeros((len(syndromes), x.m), dtype=np.uint8)
-    for row, syn in zip(out, syndromes):
-        _min_length_join(p, syn, row)
-    return out
+def min_length_decode_batch(
+    p: PathList, x: XorsatInstance, syndromes: np.ndarray, t_cap: int = _T_CAP
+) -> np.ndarray:
+    """Min-length-decode a (batch, n_vars) 0/1 array of syndromes into (batch, m) errors.
+
+    Each syndrome's support T is paired per component, and one memo of
+    solved vertex sets serves the whole batch.  A T larger than ``t_cap``
+    raises CapacityError instead of attempting the 2^|T| search.
+    """
+    n = x.n_vars
+    link = [[None] * n for _ in range(n)]
+    for (u, v), i in p.index.items():
+        entry = p.entries[i]
+        link[u - 1][v - 1] = (entry.length, sum(1 << (eid - 1) for eid in entry.edges))
+    comp_masks: dict[int, int] = {}
+    for v, comp in p.component.items():
+        comp_masks[comp] = comp_masks.get(comp, 0) | 1 << (v - 1)
+    memo: dict[int, tuple[int, int]] = {0: (0, 0)}
+    width = (x.m + 7) // 8
+    packed = np.packbits(syndromes, axis=1, bitorder="little")
+    raw = bytearray(len(packed) * width)
+    for i, row in enumerate(packed):
+        mask = int.from_bytes(row.tobytes(), "little")
+        if mask.bit_count() > t_cap:
+            raise CapacityError(
+                f"syndrome support {mask.bit_count()} exceeds matching capacity {t_cap}"
+            )
+        err = 0
+        for comp_mask in comp_masks.values():
+            part = mask & comp_mask
+            if part:
+                if part.bit_count() % 2:
+                    raise ValidationError("odd syndrome parity within a component")
+                err ^= _pairing(part, memo, link)[1]
+        raw[i * width : (i + 1) * width] = err.to_bytes(width, "little")
+    raw = np.frombuffer(raw, dtype=np.uint8).reshape(len(packed), width)
+    return np.unpackbits(raw, axis=1, count=x.m, bitorder="little")
 
 
 DECODERS = {"greedy": greedy_decode_batch, "min-length": min_length_decode_batch}

@@ -7,9 +7,12 @@ and post-selects on success.  What survives per shell k is the set D_k of
 correctly decoded weight-k errors; the probability density of measuring an
 assignment x combines the per-shell signed sums over D_k.
 
-Everything here is classical: failure rates are measured by enumerating or
-sampling errors, and densities are evaluated in closed form.  A profile
-decodes each distinct syndrome of its errors once, in one batch.  Probability
+Everything here is classical, and densities are evaluated in closed form.
+Both decoders see only an error's syndrome, so the exact profile decodes
+once every syndrome an error of weight <= l can have (an even number of
+vertices per component, at most 2l in all) and reads D_k off the decoded
+errors; the Monte Carlo profile samples errors and decodes each distinct
+syndrome among them once.  Each profile is one decoder batch.  Probability
 arithmetic is 64-bit float; binomial coefficients and shell sums are exact
 integers converted as late as possible.
 """
@@ -28,7 +31,7 @@ from .errors import CapacityError, ValidationError
 POWER_ITERATION_CAP = 10**5
 _CHANGE_TOL = 1e-12
 _RESIDUAL_TOL = 1e-11
-ENUMERATION_BUDGET = 10**7
+ENUMERATION_BUDGET = 1 << 19  # even syndromes an exact profile may decode
 DEFAULT_SAMPLES = 2000
 
 
@@ -146,6 +149,14 @@ def _combinations(m: int, k: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.min_scalar_type(m), count=size * k).reshape(size, k)
 
 
+def _packed_incidence(x: XorsatInstance) -> np.ndarray:
+    """Row j's two endpoints as bits v of packed byte row j; bit 0 stays clear,
+    so no row is 0 bytes wide."""
+    ends = np.array(x.rows, dtype=np.intp).reshape(x.m, 2)
+    incidence = np.eye(x.n_vars + 1, dtype=bool)[ends].any(axis=1)
+    return np.packbits(incidence, axis=1, bitorder="little")
+
+
 def _shell_successes(
     decoder: str, x: XorsatInstance, paths: PathList | None, shells: list[np.ndarray]
 ) -> list[np.ndarray]:
@@ -158,10 +169,7 @@ def _shell_successes(
         raise ValidationError(f"unknown decoder {decoder!r}")
     if paths is None:
         paths = build_path_list(build_graph(x))
-    # bit v of a packed syndrome is vertex v; bit 0 stays clear, so no syndrome is 0 bytes wide
-    ends = np.array(x.rows, dtype=np.intp).reshape(x.m, 2)
-    incidence = np.eye(x.n_vars + 1, dtype=bool)[ends].any(axis=1)
-    packed = np.packbits(incidence, axis=1, bitorder="little")
+    packed = _packed_incidence(x)
     syndromes = np.concatenate([np.bitwise_xor.reduce(packed[pos], axis=1) for pos in shells])
     keys = syndromes.view(np.dtype((np.void, packed.shape[1]))).ravel()
     distinct, inverse = np.unique(keys, return_inverse=True)
@@ -179,6 +187,68 @@ def _failure_rates(successes: list[np.ndarray]) -> tuple[float, ...]:
     return tuple((len(ok) - int(np.count_nonzero(ok))) / len(ok) for ok in successes)
 
 
+def _components(x: XorsatInstance) -> list[list[int]]:
+    """The vertices of each component of the row graph, 0-based and ascending."""
+    root = list(range(x.n_vars))
+    for a, b in x.rows:
+        ra, rb = a - 1, b - 1
+        while root[ra] != ra:
+            ra = root[ra]
+        while root[rb] != rb:
+            rb = root[rb]
+        root[max(ra, rb)] = min(ra, rb)
+    comps: dict[int, list[int]] = {}
+    for v in range(x.n_vars):  # parents are lower, so root[root[v]] is already final
+        root[v] = root[root[v]]
+        comps.setdefault(root[v], []).append(v)
+    return list(comps.values())
+
+
+def check_exact_budget(x: XorsatInstance, l: int, budget: int = ENUMERATION_BUDGET) -> None:
+    """Refuse an exact degree-l profile that would decode more than ``budget`` syndromes.
+
+    Those are the syndromes T with an even number of vertices in every
+    component of the row graph and |T| <= 2l: at most 2^(n-c) for n
+    variables in c components.
+    """
+    # syndromes by size: the product over components of sum_j C(s, 2j) z^(2j)
+    count = [1] + [0] * (2 * l)
+    for verts in _components(x):
+        step = [comb(len(verts), j) if j % 2 == 0 else 0 for j in range(2 * l + 1)]
+        count = [sum(count[i] * step[t - i] for i in range(t + 1)) for t in range(2 * l + 1)]
+    if sum(count) > budget:
+        raise CapacityError(
+            f"exact profile needs {sum(count)} syndromes (> budget {budget}); "
+            "use the Monte Carlo profile instead"
+        )
+
+
+def _even_syndromes(comps: list[list[int]], n_vars: int, max_support: int) -> np.ndarray:
+    """Every syndrome even in each component with at most ``max_support`` vertices.
+
+    Rows are packed as in ``_packed_incidence``.  Every vertex of a
+    component but its last is a free bit, set only while the syndrome stays
+    within ``max_support``; the last vertex takes the component's parity.
+    """
+    rows = np.zeros((1, n_vars // 8 + 1), dtype=np.uint8)
+    size = np.zeros(1, dtype=np.intp)
+    for verts in comps:
+        odd = np.zeros(len(rows), dtype=bool)
+        for v in verts[:-1]:
+            grow = size < max_support
+            added = rows[grow]
+            added[:, (v + 1) >> 3] |= np.uint8(1 << ((v + 1) & 7))
+            rows = np.concatenate([rows, added])
+            size = np.concatenate([size, size[grow] + 1])
+            odd = np.concatenate([odd, ~odd[grow]])
+        last = verts[-1] + 1
+        rows[odd, last >> 3] |= np.uint8(1 << (last & 7))
+        size += odd
+        keep = size <= max_support
+        rows, size = rows[keep], size[keep]
+    return rows
+
+
 def failure_profile_exact(
     decoder: str,
     x: XorsatInstance,
@@ -186,30 +256,47 @@ def failure_profile_exact(
     paths: PathList | None = None,
     budget: int = ENUMERATION_BUDGET,
 ) -> FailureProfile:
-    """Enumerate every error of weight <= l and record exact failure rates.
+    """Exact failure rates and correctly decoded sets D_k for every weight k <= l.
 
-    Also retains each correctly decoded set D_k, which the exact density
-    needs.  Raises CapacityError when the shell enumeration would exceed
-    ``budget`` errors; Monte Carlo mode is the fallback at that point.
+    Both decoders see only the syndrome T, so D_k is the set of decoded
+    errors dec(T) of weight k whose own syndrome is T.  Each syndrome with
+    an even number of vertices per component is decoded once, in one batch;
+    only |T| <= 2l can matter, since a T-join has at least |T|/2 edges.
+    D_k holds 0-based positions, rows in lexicographic order, and
+    eps_k = (C(m, k) - |D_k|) / C(m, k).  Raises CapacityError when that
+    means more than ``budget`` syndromes (at most 2^(n-c) for n variables in
+    c components); Monte Carlo mode is the fallback at that point.
     """
     if not 0 <= l <= x.m:
         raise ValidationError(f"degree l={l} out of range 0..{x.m}")
-    total = sum(comb(x.m, k) for k in range(l + 1))
-    if total > budget:
-        raise CapacityError(
-            f"exact profile needs {total} decodes (> budget {budget}); "
-            "use the Monte Carlo profile instead"
-        )
-    shells = [_combinations(x.m, k) for k in range(l + 1)]
-    successes = _shell_successes(decoder, x, paths, shells)
+    if decoder not in DECODERS:
+        raise ValidationError(f"unknown decoder {decoder!r}")
+    check_exact_budget(x, l, budget)
+    if paths is None:
+        paths = build_path_list(build_graph(x))
+    syndromes = _even_syndromes(_components(x), x.n_vars, 2 * l)
+    bits = np.unpackbits(syndromes, axis=1, count=x.n_vars + 1, bitorder="little")[:, 1:]
+    decoded = DECODERS[decoder](paths, x, bits)
+    weight = decoded.sum(axis=1)
+    packed = _packed_incidence(x)
+    sizes = tuple(comb(x.m, k) for k in range(l + 1))
+    decoded_sets = []
+    for k in range(l + 1):
+        hit = np.flatnonzero(weight == k)
+        pos = np.nonzero(decoded[hit])[1].reshape(len(hit), k)
+        own = np.bitwise_xor.reduce(packed[pos], axis=1)
+        pos = pos[(own == syndromes[hit]).all(axis=1)].astype(np.int64)
+        if k:
+            pos = pos[np.lexsort(pos.T[::-1])]
+        decoded_sets.append(pos)
     return FailureProfile(
         mode="exact",
         decoder=decoder,
         m=x.m,
         l=l,
-        eps=_failure_rates(successes),
-        shell_sizes=tuple(len(pos) for pos in shells),
-        decoded_sets=tuple(pos[ok].astype(np.int64) for pos, ok in zip(shells, successes)),
+        eps=tuple((size - len(d_k)) / size for size, d_k in zip(sizes, decoded_sets)),
+        shell_sizes=sizes,
+        decoded_sets=tuple(decoded_sets),
     )
 
 

@@ -268,21 +268,34 @@ def no_profiles_or_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("ran before the capacity check")
 
-    for name in ("failure_profile_mc", "failure_profile_exact", "enumerate_optima"):
+    for name in (
+        "failure_profile_mc", "failure_profile_exact", "enumerate_optima",
+        "code_distance", "build_path_list",
+    ):
         monkeypatch.setattr(bench, name, refuse)
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, match",
     [
-        lambda: run_pipeline(generate_instance(100, 0), mode="approx"),
-        lambda: sweep_degree(generate_instance(100, 0)),
-        lambda: run_pipeline(generate_instance(100, 0), encoding="non-icc", mode="approx"),
+        (lambda: run_pipeline(generate_instance(100, 0), mode="approx"), "elimination width"),
+        (lambda: sweep_degree(generate_instance(100, 0)), "elimination width"),
+        (
+            lambda: run_pipeline(generate_instance(100, 0), encoding="non-icc", mode="approx"),
+            "elimination width",
+        ),
+        (lambda: run_pipeline(generate_instance(40, 0), mode="exact"), "syndromes"),
+        (lambda: compare_decoders(generate_instance(40, 0)), "syndromes"),
+        (lambda: sweep_degree(generate_instance(40, 0), profile_source="exact"), "syndromes"),
+        (lambda: run_pipeline(generate_instance(21, 0), mode="exact"), "syndromes"),
     ],
-    ids=["approx-100-cars", "sweep-100-cars", "non-icc-approx-100-cars"],
+    ids=[
+        "approx-100-cars", "sweep-100-cars", "non-icc-approx-100-cars",
+        "exact-40-cars", "compare-exact-40-cars", "sweep-exact-40-cars", "exact-21-cars",
+    ],
 )
-def test_capacity_refused_before_profile_or_search(no_profiles_or_search, call):
-    with pytest.raises(CapacityError, match="elimination width"):
+def test_capacity_refused_before_profile_or_search(no_profiles_or_search, call, match):
+    with pytest.raises(CapacityError, match=match):
         call()
 
 

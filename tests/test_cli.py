@@ -3,8 +3,19 @@ import json
 
 import pytest
 
-from dqi_bench import bench, dqi, read_instance, read_xorsat, write_instance
+from dqi_bench import (
+    bench,
+    dqi,
+    encode_icc,
+    generate_instance,
+    read_instance,
+    read_xorsat,
+    reduce_instance,
+    write_instance,
+    write_xorsat,
+)
 from dqi_bench.cli import main
+from oracles import failure_profile_exact_loop
 
 
 @pytest.fixture()
@@ -225,6 +236,31 @@ def test_capacity_error_exits_3(tmp_path, capsys):
     code = main(["bench", "--n-cars", "40", "--seed", "1", "--mode", "exact", "-o", str(report)])
     assert code == 3
     assert main(["bench", "--n-cars", "40", "--mode", "exact", "-o", str(report)]) == 3
+
+
+def test_decode_stats_exact_over_budget_exits_3(tmp_path, capsys):
+    inst = generate_instance(40, 0)
+    system = tmp_path / "xs.json"
+    write_xorsat(reduce_instance(encode_icc(inst), inst)[0], system)
+    assert main(["decode-stats", "-i", str(system), "--mode", "exact"]) == 3
+    assert "syndromes (> budget 524288)" in capsys.readouterr().err
+    code, summary = run_cli(capsys, "decode-stats", "-i", str(system), "--mode", "exact", "--l", "2")
+    assert code == 0 and len(summary["eps"]) == 3
+
+
+def test_bench_exact_reaches_20_cars(tmp_path, capsys):
+    report = tmp_path / "r.csv"
+    code, _ = run_cli(
+        capsys, "bench", "--n-cars", "20", "--seed", "3", "--mode", "exact", "-o", str(report)
+    )
+    assert code == 0
+    with open(report, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["n"], row["m"], row["l"]) == ("20", "36", "8")
+    inst = generate_instance(20, 3)
+    x = reduce_instance(encode_icc(inst), inst)[0]
+    want = failure_profile_exact_loop("greedy", x, 3)  # all C(36, 3) = 7140 weight-3 errors
+    assert json.loads(row["eps_json"])[:4] == list(want.eps)
 
 
 def test_over_width_exits_3_and_past_old_cap_runs(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import gc
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dqi_bench import (
@@ -22,7 +24,14 @@ from dqi_bench import (
     simulate_circuit,
     syndrome,
 )
-from oracles import bfs_distance, graph_adjacency, matchings_bruteforce
+from dqi_bench.decoder import DECODERS
+from oracles import (
+    bfs_distance,
+    graph_adjacency,
+    matchings_bruteforce,
+    min_length_decode_pairs,
+    parity_systems,
+)
 
 instances = st.builds(
     generate_instance,
@@ -271,6 +280,52 @@ def test_parallel_edge_blindness(inst):
         y = tuple(1 if j == eid else 0 for j in range(1, x.m + 1))
         assert not greedy_decode(p, x, y).success
         assert not min_length_decode(p, x, y).success
+
+
+SQUARE = XorsatInstance(n_vars=4, rows=((1, 2), (2, 3), (3, 4), (1, 4)), targets=(0,) * 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(parity_systems(), st.lists(st.integers(0, 2**40 - 1), min_size=1, max_size=8))
+# rows 1 and 3 of a square: T = {1, 2, 3, 4}, where {1-2, 3-4} and {1-4, 2-3} tie
+@example(SQUARE, [0b0101])
+def test_min_length_batch_matches_pairing_oracle(x, masks):
+    # errors given as row bitmasks; their syndromes are exactly the even ones
+    p = build_path_list(build_graph(x))
+    errors = [tuple((mask >> j) & 1 for j in range(x.m)) for mask in masks]
+    syn = np.array([syndrome(x, y) for y in errors], dtype=np.uint8).reshape(len(errors), x.n_vars)
+    got = DECODERS["min-length"](p, x, syn)
+    assert got.shape == (len(errors), x.m) and got.dtype == np.uint8
+    for y, row, t in zip(errors, got.tolist(), syn.tolist()):
+        assert tuple(row) == min_length_decode_pairs(p, x, y).decoded_error
+        # per component, the lexicographically smallest minimum-weight matching
+        by_comp = {}
+        for v, bit in enumerate(t, start=1):
+            if bit:
+                by_comp.setdefault(p.component[v], []).append(v)
+        want = [0] * x.m
+        for verts in by_comp.values():
+            _, pairs = min(matchings_bruteforce(tuple(verts), p.dist))
+            for pair in pairs:
+                for eid in p.entries[p.index[pair]].edges:
+                    want[eid - 1] ^= 1
+        assert row == want
+
+
+def test_min_length_batch_leaves_no_garbage():
+    # the shared memo must die with the call, not wait in a reference cycle
+    inst = generate_instance(8, 3)
+    x = reduced_system(inst)
+    p = build_path_list(build_graph(x))
+    syn = np.array([syndrome(x, y) for y in weight_k_errors(x.m, 2)], dtype=np.uint8)
+    gc.collect()
+    gc.disable()
+    try:
+        DECODERS["min-length"](p, x, syn)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 # ----------------------------------------------------------------- circuit

@@ -152,8 +152,21 @@ def test_exact_profile_min_length(ex1_reduced, ex1_paths):
 
 
 def test_exact_profile_budget(ex1_reduced):
-    with pytest.raises(CapacityError, match="Monte Carlo"):
-        failure_profile_exact("greedy", ex1_reduced[0], 3, budget=10)
+    # 4 variables in one component: degree 1 decodes the 1 + C(4, 2) = 7
+    # syndromes of at most 2 vertices, degree 2 and up all 2^3 = 8 even ones
+    with pytest.raises(CapacityError, match="needs 8 syndromes.*Monte Carlo"):
+        failure_profile_exact("greedy", ex1_reduced[0], 2, budget=7)
+    assert failure_profile_exact("greedy", ex1_reduced[0], 1, budget=7).eps == (0.0, 0.2)
+
+
+def test_exact_budget_follows_the_degree():
+    # 22 variables in one path: degree 1 decodes 1 + C(22, 2) = 232 syndromes
+    # of the 2^21 even ones, so it stays exact where the full degree refuses
+    rows = tuple((i, i + 1) for i in range(1, 22))
+    x = XorsatInstance(n_vars=22, rows=rows, targets=(0,) * 21)
+    assert failure_profile_exact("greedy", x, 1).eps == (0.0, 0.0)
+    with pytest.raises(CapacityError, match="2097152 syndromes"):
+        failure_profile_exact("greedy", x, 11)
 
 
 def test_mc_profile_enumeration_branch(ex1_reduced, ex1_paths):
