@@ -17,6 +17,7 @@ from .decoder import (
     PathList,
     build_graph,
     build_path_list,
+    code_distance,
     emit_circuit,
     format_circuit,
     gate_cost,
@@ -42,7 +43,6 @@ from .dqi import (
 from .encoding import (
     ReductionRecord,
     XorsatInstance,
-    code_distance,
     encode_icc,
     encode_non_icc,
     lift_solution,

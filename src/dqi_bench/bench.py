@@ -21,7 +21,7 @@ from math import exp, log
 
 import numpy as np
 
-from .decoder import PathList, build_graph, build_path_list, gate_cost
+from .decoder import DECODERS, PathList, build_graph, build_path_list, code_distance, gate_cost
 from .dqi import (
     DEFAULT_SAMPLES,
     DickeWeights,
@@ -37,7 +37,6 @@ from .encoding import (
     ICC,
     NON_ICC,
     XorsatInstance,
-    code_distance,
     encode_icc,
     encode_non_icc,
     reduce_instance,
@@ -48,7 +47,7 @@ from .instances import BpspInstance, generate_instance
 WIDTH_CAP = 22
 LISTING_CAP = 1 << 20
 DISTANCE_CAP = 12
-DECODER_NAMES = ("greedy", "min-length")
+DECODER_NAMES = tuple(DECODERS)
 REPORT_COLUMNS = [
     "n_cars", "n", "m", "code_distance", "l", "decoder", "mode",
     "p_opt", "c_opt", "c_dqi", "c_total", "eps_json", "seed",

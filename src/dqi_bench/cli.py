@@ -12,14 +12,21 @@ import os
 import sys
 
 from . import bench
-from .decoder import build_graph, build_path_list, emit_circuit, gate_cost, write_circuit
+from .decoder import (
+    build_graph,
+    build_path_list,
+    code_distance,
+    emit_circuit,
+    gate_cost,
+    write_circuit,
+)
 from .dqi import (
     DEFAULT_SAMPLES,
     default_degree,
     failure_profile_exact,
     failure_profile_mc,
 )
-from .encoding import code_distance, read_xorsat, write_xorsat
+from .encoding import read_xorsat, write_xorsat
 from .errors import CapacityError, ValidationError
 from .instances import generate_instance, read_instance, write_instance
 
@@ -155,8 +162,6 @@ def _cmd_bench(args):
             )
         ]
     bench.write_report_csv(rows, args.output)
-    if args.aggregate_out:
-        bench.write_aggregate_csv(bench.aggregate_rows(rows), args.aggregate_out)
     return {
         "command": "bench",
         "digest": rows[0]["digest"],
@@ -169,7 +174,7 @@ def _cmd_bench(args):
 
 def _cmd_sweep(args):
     inst = _load_instance(args)
-    decoders = ["greedy", "min-length"] if args.decoder == "both" else [args.decoder]
+    decoders = bench.DECODER_NAMES if args.decoder == "both" else [args.decoder]
     l_range = None
     if args.l_min is not None or args.l_max is not None:
         lo = args.l_min if args.l_min is not None else 1
@@ -261,7 +266,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("decode-stats", help="decoder failure rates per error weight")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--decoder", choices=["greedy", "min-length"], default="greedy")
+    p.add_argument("--decoder", choices=bench.DECODER_NAMES, default="greedy")
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--mode", choices=["exact", "approx"], default="exact")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
@@ -279,19 +284,18 @@ def build_parser() -> _Parser:
     p.add_argument("--n-cars", type=int, default=None)
     p.add_argument("--encoding", choices=["icc", "non-icc"], default="icc")
     p.add_argument("--no-reduce", dest="reduce", action="store_false")
-    p.add_argument("--decoder", choices=["greedy", "min-length", "both"], default="greedy")
+    p.add_argument("--decoder", choices=[*bench.DECODER_NAMES, "both"], default="greedy")
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--mode", choices=["exact", "approx"], default="exact")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", dest="output", required=True)
-    p.add_argument("--aggregate-out", default=None)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("sweep", help="optimum probability across polynomial degrees")
     p.add_argument("-i", "--input", default=None)
     p.add_argument("--n-cars", type=int, default=None)
-    p.add_argument("--decoder", choices=["greedy", "min-length", "both"], default="greedy")
+    p.add_argument("--decoder", choices=[*bench.DECODER_NAMES, "both"], default="greedy")
     p.add_argument("--profile", choices=["exact", "mc"], default="mc")
     p.add_argument("--l-min", type=int, default=None)
     p.add_argument("--l-max", type=int, default=None)

@@ -1,14 +1,21 @@
-"""Syndrome decoding on the constraint graph, and its reversible circuit.
+"""Syndrome decoding on the constraint graph, its reversible circuit, and the code distance.
 
 A two-variable parity system maps to a multigraph: variables are vertices,
-constraints are edges.  An error vector flips the syndrome bits of the
-endpoints of every flipped edge, so recovering an error from a syndrome
-means finding an edge subset whose odd-degree vertex set equals the
-syndrome support T (a T-join).  Both decoders here pick a T-join built
-from precomputed shortest paths: the greedy decoder scans an ordered path
-list and takes the first path whose endpoints are still unmatched; the
-minimum-length decoder pairs T optimally per component by subset dynamic
-programming over the pairwise graph distances.
+constraints are edges.  ``build_graph`` is the one place that derives the
+graph's structure (distinct endpoint pairs, adjacency lists, connected
+components); the path list, the code distance and the exact failure
+profile read it from there.  The code distance is the multigraph's
+shortest cycle, since the errors of zero syndrome are exactly its
+even-degree edge subsets.
+
+An error vector flips the syndrome bits of the endpoints of every flipped
+edge, so recovering an error from a syndrome means finding an edge subset
+whose odd-degree vertex set equals the syndrome support T (a T-join).
+Both decoders here pick a T-join built from precomputed shortest paths:
+the greedy decoder scans an ordered path list and takes the first path
+whose endpoints are still unmatched; the minimum-length decoder pairs T
+optimally per component by subset dynamic programming over the pairwise
+graph distances.
 
 ``DECODERS`` maps each name to its batch form: a (batch, n_vars) 0/1 array
 of syndromes in, a (batch, m) 0/1 array of decoded errors out.  The greedy
@@ -39,11 +46,18 @@ class ConstraintGraph:
     ``dedup_class`` sends every edge id to the lowest edge id with the same
     unordered endpoints; only those representatives take part in shortest
     paths, since parallel edges are interchangeable for decoding.
+    ``pairs`` maps each distinct (u, v), u < v, to its representative edge
+    id, ``adjacency`` lists each vertex's distinct neighbours in ascending
+    order, and ``component`` labels the connected components 1, 2, ... in
+    order of their lowest vertex.
     """
 
     n_vertices: int
     edges: tuple[tuple[int, int, int], ...]  # (edge_id, u, v), all 1-based
     dedup_class: dict[int, int]
+    pairs: dict[tuple[int, int], int]
+    adjacency: dict[int, tuple[int, ...]]
+    component: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -60,13 +74,11 @@ class PathList:
 
     Entries are sorted by (length, smaller endpoint, larger endpoint); the
     retained path per pair is the one with lexicographically smallest
-    vertex sequence.  ``dist`` holds the graph distance per unordered pair,
-    ``component`` labels connected components, and ``index`` locates the
-    entry of a pair within ``entries``.
+    vertex sequence.  ``component`` is the graph's component labelling, and
+    ``index`` locates the entry of a pair within ``entries``.
     """
 
     entries: tuple[PathEntry, ...]
-    dist: dict[tuple[int, int], int]
     component: dict[int, int]
     index: dict[tuple[int, int], int]
 
@@ -97,90 +109,69 @@ class GateCost:
         return self.ccx + self.cx
 
 
+def _bfs(adj, source: int) -> dict[int, int]:
+    """Hop distance from ``source`` to every vertex it reaches, in BFS order."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
 def build_graph(x: XorsatInstance) -> ConstraintGraph:
     """Turn a parity system into its constraint multigraph."""
     edges = []
-    rep: dict[tuple[int, int], int] = {}
+    pairs: dict[tuple[int, int], int] = {}
     dedup: dict[int, int] = {}
     for eid, (a, b) in enumerate(x.rows, start=1):
-        if a == b:
-            raise ValidationError(f"unsupported instance: row {eid} is not a 2-variable constraint")
-        key = (min(a, b), max(a, b))
         edges.append((eid, a, b))
-        dedup[eid] = rep.setdefault(key, eid)
-    return ConstraintGraph(n_vertices=x.n_vars, edges=tuple(edges), dedup_class=dedup)
+        dedup[eid] = pairs.setdefault((min(a, b), max(a, b)), eid)
+    neighbours: dict[int, list[int]] = {v: [] for v in range(1, x.n_vars + 1)}
+    for u, v in pairs:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    adjacency = {v: tuple(sorted(ws)) for v, ws in neighbours.items()}
+    component: dict[int, int] = {}
+    label = 0
+    for start in adjacency:
+        if start not in component:
+            label += 1
+            component.update(dict.fromkeys(_bfs(adjacency, start), label))
+    return ConstraintGraph(
+        n_vertices=x.n_vars,
+        edges=tuple(edges),
+        dedup_class=dedup,
+        pairs=pairs,
+        adjacency=adjacency,
+        component=component,
+    )
 
 
 def build_path_list(g: ConstraintGraph) -> PathList:
-    """BFS all-pairs shortest paths over representative edges.
+    """All-pairs shortest paths over representative edges, one BFS tree per target.
 
-    Ties between equal-length paths go to the lexicographically smallest
-    vertex sequence, which keeps the list platform-independent.  Pairs in
-    different components are omitted.
+    In the tree of target v every vertex steps to its smallest neighbour one
+    hop closer to v, so each stored path is the lexicographically smallest
+    shortest vertex sequence, which keeps the list platform-independent.
+    Paths to v share their suffixes.  Pairs in different components are
+    omitted.
     """
-    rep_support: dict[tuple[int, int], int] = {}
-    for eid, u, v in g.edges:
-        if g.dedup_class[eid] == eid:
-            rep_support[(min(u, v), max(u, v))] = eid
-    adj: dict[int, list[int]] = {v: [] for v in range(1, g.n_vertices + 1)}
-    for u, v in rep_support:
-        adj[u].append(v)
-        adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
-
-    component: dict[int, int] = {}
-    comp = 0
-    for start in range(1, g.n_vertices + 1):
-        if start in component:
-            continue
-        comp += 1
-        component[start] = comp
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in component:
-                    component[w] = comp
-                    queue.append(w)
-
-    dist_from: dict[int, dict[int, int]] = {}
-    for source in range(1, g.n_vertices + 1):
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        dist_from[source] = dist
-
     entries = []
-    dist_table: dict[tuple[int, int], int] = {}
-    for u in range(1, g.n_vertices + 1):
-        for v in range(u + 1, g.n_vertices + 1):
-            if component[u] != component[v]:
-                continue
-            dist_v = dist_from[v]
-            dist_table[(u, v)] = dist_v[u]
-            # walk from u towards v, always taking the smallest next vertex
-            # that still decreases the distance: lexicographically minimal
-            # among all shortest vertex sequences
-            seq = [u]
-            cur = u
-            while cur != v:
-                cur = min(w for w in adj[cur] if dist_v.get(w, -1) == dist_v[cur] - 1)
-                seq.append(cur)
-            edge_ids = tuple(
-                rep_support[(min(a, b), max(a, b))] for a, b in zip(seq, seq[1:])
-            )
-            entries.append(PathEntry(u=u, v=v, edges=edge_ids, length=len(edge_ids)))
+    for v in range(1, g.n_vertices + 1):
+        dist = _bfs(g.adjacency, v)
+        to_v = {v: ()}
+        for w in dist:  # BFS order: every step is settled before its vertex
+            if w != v:
+                step = next(s for s in g.adjacency[w] if dist[s] < dist[w])
+                to_v[w] = (g.pairs[min(w, step), max(w, step)],) + to_v[step]
+        entries.extend(PathEntry(u=u, v=v, edges=to_v[u], length=dist[u]) for u in dist if u < v)
     entries.sort(key=lambda e: (e.length, e.u, e.v))
     index = {(e.u, e.v): i for i, e in enumerate(entries)}
-    return PathList(
-        entries=tuple(entries), dist=dist_table, component=component, index=index
-    )
+    return PathList(entries=tuple(entries), component=g.component, index=index)
 
 
 def _greedy_scan(p: PathList, t: list[int], m: int) -> list[int]:
@@ -252,20 +243,18 @@ def _pairing(mask: int, memo: dict[int, tuple[int, int]], link) -> tuple[int, in
     return best
 
 
-def min_length_decode(p: PathList, x: XorsatInstance, y, t_cap: int = _T_CAP) -> DecodeOutcome:
+def min_length_decode(p: PathList, x: XorsatInstance, y) -> DecodeOutcome:
     """Decode one error via an exact minimum-weight perfect matching of its syndrome."""
     y = tuple(int(b) for b in y)
     syn = np.array([syndrome(x, y)], dtype=np.uint8)
-    return _outcome(y, min_length_decode_batch(p, x, syn, t_cap)[0])
+    return _outcome(y, min_length_decode_batch(p, x, syn)[0])
 
 
-def min_length_decode_batch(
-    p: PathList, x: XorsatInstance, syndromes: np.ndarray, t_cap: int = _T_CAP
-) -> np.ndarray:
+def min_length_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarray) -> np.ndarray:
     """Min-length-decode a (batch, n_vars) 0/1 array of syndromes into (batch, m) errors.
 
     Each syndrome's support T is paired per component, and one memo of
-    solved vertex sets serves the whole batch.  A T larger than ``t_cap``
+    solved vertex sets serves the whole batch.  A T larger than ``_T_CAP``
     raises CapacityError instead of attempting the 2^|T| search.
     """
     n = x.n_vars
@@ -282,9 +271,9 @@ def min_length_decode_batch(
     raw = bytearray(len(packed) * width)
     for i, row in enumerate(packed):
         mask = int.from_bytes(row.tobytes(), "little")
-        if mask.bit_count() > t_cap:
+        if mask.bit_count() > _T_CAP:
             raise CapacityError(
-                f"syndrome support {mask.bit_count()} exceeds matching capacity {t_cap}"
+                f"syndrome support {mask.bit_count()} exceeds matching capacity {_T_CAP}"
             )
         err = 0
         for comp_mask in comp_masks.values():
@@ -299,6 +288,33 @@ def min_length_decode_batch(
 
 
 DECODERS = {"greedy": greedy_decode_batch, "min-length": min_length_decode_batch}
+
+
+def code_distance(x: XorsatInstance, cap: int = 12):
+    """Minimum weight of a nonzero error with zero syndrome, or None past cap.
+
+    Errors with zero syndrome are exactly the even-degree edge subsets of
+    the constraint multigraph, so the minimum weight equals its shortest
+    cycle: 2 as soon as two rows share a support, otherwise the girth of
+    the underlying simple graph (found by one BFS per edge with that edge
+    removed).  Returns None when every cycle is longer than ``cap`` (in
+    particular for forests, which have no nonzero kernel vector at all).
+    """
+    if x.m < 1:
+        raise ValidationError("code distance needs at least one constraint")
+    g = build_graph(x)
+    if len(g.pairs) < x.m:
+        return 2 if cap >= 2 else None
+    best = None
+    for a, b in g.pairs:
+        # the shortest a-b path avoiding the edge (a, b) closes the shortest
+        # cycle through that edge
+        dist = _bfs({**g.adjacency, a: tuple(w for w in g.adjacency[a] if w != b)}, a)
+        if b in dist and (best is None or dist[b] + 1 < best):
+            best = dist[b] + 1
+    if best is None or best > cap:
+        return None
+    return best
 
 
 def emit_circuit(p: PathList, g: ConstraintGraph) -> GateList:

@@ -18,6 +18,7 @@ integers converted as late as possible.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb, inf, sqrt
@@ -187,25 +188,8 @@ def _failure_rates(successes: list[np.ndarray]) -> tuple[float, ...]:
     return tuple((len(ok) - int(np.count_nonzero(ok))) / len(ok) for ok in successes)
 
 
-def _components(x: XorsatInstance) -> list[list[int]]:
-    """The vertices of each component of the row graph, 0-based and ascending."""
-    root = list(range(x.n_vars))
-    for a, b in x.rows:
-        ra, rb = a - 1, b - 1
-        while root[ra] != ra:
-            ra = root[ra]
-        while root[rb] != rb:
-            rb = root[rb]
-        root[max(ra, rb)] = min(ra, rb)
-    comps: dict[int, list[int]] = {}
-    for v in range(x.n_vars):  # parents are lower, so root[root[v]] is already final
-        root[v] = root[root[v]]
-        comps.setdefault(root[v], []).append(v)
-    return list(comps.values())
-
-
-def check_exact_budget(x: XorsatInstance, l: int, budget: int = ENUMERATION_BUDGET) -> None:
-    """Refuse an exact degree-l profile that would decode more than ``budget`` syndromes.
+def check_exact_budget(x: XorsatInstance, l: int) -> None:
+    """Refuse an exact degree-l profile that would decode over ``ENUMERATION_BUDGET`` syndromes.
 
     Those are the syndromes T with an even number of vertices in every
     component of the row graph and |T| <= 2l: at most 2^(n-c) for n
@@ -213,26 +197,30 @@ def check_exact_budget(x: XorsatInstance, l: int, budget: int = ENUMERATION_BUDG
     """
     # syndromes by size: the product over components of sum_j C(s, 2j) z^(2j)
     count = [1] + [0] * (2 * l)
-    for verts in _components(x):
-        step = [comb(len(verts), j) if j % 2 == 0 else 0 for j in range(2 * l + 1)]
+    for size in Counter(build_graph(x).component.values()).values():
+        step = [comb(size, j) if j % 2 == 0 else 0 for j in range(2 * l + 1)]
         count = [sum(count[i] * step[t - i] for i in range(t + 1)) for t in range(2 * l + 1)]
-    if sum(count) > budget:
+    if sum(count) > ENUMERATION_BUDGET:
         raise CapacityError(
-            f"exact profile needs {sum(count)} syndromes (> budget {budget}); "
+            f"exact profile needs {sum(count)} syndromes (> budget {ENUMERATION_BUDGET}); "
             "use the Monte Carlo profile instead"
         )
 
 
-def _even_syndromes(comps: list[list[int]], n_vars: int, max_support: int) -> np.ndarray:
+def _even_syndromes(component: dict[int, int], max_support: int) -> np.ndarray:
     """Every syndrome even in each component with at most ``max_support`` vertices.
 
-    Rows are packed as in ``_packed_incidence``.  Every vertex of a
-    component but its last is a free bit, set only while the syndrome stays
-    within ``max_support``; the last vertex takes the component's parity.
+    ``component`` labels each vertex's component, and rows are packed as in
+    ``_packed_incidence``.  Every vertex of a component but its last is a
+    free bit, set only while the syndrome stays within ``max_support``; the
+    last vertex takes the component's parity.
     """
-    rows = np.zeros((1, n_vars // 8 + 1), dtype=np.uint8)
+    comps: dict[int, list[int]] = {}
+    for v, label in sorted(component.items()):
+        comps.setdefault(label, []).append(v - 1)
+    rows = np.zeros((1, len(component) // 8 + 1), dtype=np.uint8)
     size = np.zeros(1, dtype=np.intp)
-    for verts in comps:
+    for verts in comps.values():
         odd = np.zeros(len(rows), dtype=bool)
         for v in verts[:-1]:
             grow = size < max_support
@@ -254,7 +242,6 @@ def failure_profile_exact(
     x: XorsatInstance,
     l: int,
     paths: PathList | None = None,
-    budget: int = ENUMERATION_BUDGET,
 ) -> FailureProfile:
     """Exact failure rates and correctly decoded sets D_k for every weight k <= l.
 
@@ -264,17 +251,19 @@ def failure_profile_exact(
     only |T| <= 2l can matter, since a T-join has at least |T|/2 edges.
     D_k holds 0-based positions, rows in lexicographic order, and
     eps_k = (C(m, k) - |D_k|) / C(m, k).  Raises CapacityError when that
-    means more than ``budget`` syndromes (at most 2^(n-c) for n variables in
-    c components); Monte Carlo mode is the fallback at that point.
+    means more than ``ENUMERATION_BUDGET`` syndromes (at most 2^(n-c) for n
+    variables in c components); Monte Carlo mode is the fallback at that
+    point.
     """
     if not 0 <= l <= x.m:
         raise ValidationError(f"degree l={l} out of range 0..{x.m}")
     if decoder not in DECODERS:
         raise ValidationError(f"unknown decoder {decoder!r}")
-    check_exact_budget(x, l, budget)
+    check_exact_budget(x, l)
+    graph = build_graph(x)
     if paths is None:
-        paths = build_path_list(build_graph(x))
-    syndromes = _even_syndromes(_components(x), x.n_vars, 2 * l)
+        paths = build_path_list(graph)
+    syndromes = _even_syndromes(graph.component, 2 * l)
     bits = np.unpackbits(syndromes, axis=1, count=x.n_vars + 1, bitorder="little")[:, 1:]
     decoded = DECODERS[decoder](paths, x, bits)
     weight = decoded.sum(axis=1)

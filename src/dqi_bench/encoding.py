@@ -11,11 +11,13 @@ Constraint elimination removes rows whose parity is forced: a car repeated
 immediately forces one color change, a car repeated at distance two forces
 exactly one color change somewhere in between.  Each applied elimination
 event contributes one forced swap to the objective offset.
+
+The constraint graph of a system, and its code distance, live in
+``decoder``.
 """
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
@@ -285,54 +287,6 @@ def satisfied_count(x: XorsatInstance, assign) -> int:
         for (a, b), v in zip(x.rows, x.targets)
         if (assign[a - 1] ^ assign[b - 1]) == v
     )
-
-
-def code_distance(x: XorsatInstance, cap: int = 12):
-    """Minimum weight of a nonzero error with zero syndrome, or None past cap.
-
-    Errors with zero syndrome are exactly the even-degree edge subsets of
-    the constraint multigraph, so the minimum weight equals its shortest
-    cycle: 2 as soon as two rows share a support, otherwise the girth of
-    the underlying simple graph (found by one BFS per edge with that edge
-    removed).  Returns None when every cycle is longer than ``cap`` (in
-    particular for forests, which have no nonzero kernel vector at all).
-    """
-    if x.m < 1:
-        raise ValidationError("code distance needs at least one constraint")
-    supports = {}
-    for a, b in x.rows:
-        key = (min(a, b), max(a, b))
-        supports[key] = supports.get(key, 0) + 1
-    if any(cnt >= 2 for cnt in supports.values()):
-        return 2 if cap >= 2 else None
-
-    adj: dict[int, set[int]] = {v: set() for v in range(1, x.n_vars + 1)}
-    for a, b in supports:
-        adj[a].add(b)
-        adj[b].add(a)
-    best = None
-    for a, b in supports:
-        # shortest a-b path avoiding the edge (a, b) closes the shortest
-        # cycle through that edge
-        dist = {a: 0}
-        queue = deque([a])
-        while queue:
-            u = queue.popleft()
-            if u == b:
-                break
-            for w in adj[u]:
-                if u == a and w == b:
-                    continue
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if b in dist:
-            cycle = dist[b] + 1
-            if best is None or cycle < best:
-                best = cycle
-    if best is None or best > cap:
-        return None
-    return best
 
 
 def non_icc_distance_bound(inst: BpspInstance, after_elimination: bool) -> int:

@@ -152,6 +152,11 @@ def graph_adjacency(x: XorsatInstance) -> dict[int, set[int]]:
     return adj
 
 
+def path_lengths(p: PathList) -> dict[tuple[int, int], int]:
+    """Graph distance per connected pair (u, v), u < v, read off the stored paths."""
+    return {pair: p.entries[i].length for pair, i in p.index.items()}
+
+
 def matchings_bruteforce(verts: tuple[int, ...], dist) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
     """All perfect matchings of an even vertex set with their total weights."""
     if not verts:
@@ -358,7 +363,7 @@ def min_length_decode_pairs(p: PathList, x: XorsatInstance, y) -> DecodeOutcome:
     for verts in groups.values():
         if len(verts) % 2:
             raise ValidationError("odd syndrome parity within a component")
-        for a, b in _min_weight_pairing(tuple(verts), p.dist):
+        for a, b in _min_weight_pairing(tuple(verts), path_lengths(p)):
             for eid in p.entries[p.index[(a, b)]].edges:
                 decoded[eid - 1] ^= 1
     residual = tuple(a ^ b for a, b in zip(y, decoded))

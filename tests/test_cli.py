@@ -222,6 +222,14 @@ def test_unknown_flag_exits_64(capsys):
     assert main(["frobnicate"]) == 64
 
 
+def test_bench_takes_no_aggregate_out(tmp_path, capsys):
+    # one bench instance has one car count: its aggregate would average the decoders
+    report, agg = tmp_path / "r.csv", tmp_path / "a.csv"
+    argv = ["bench", "--n-cars", "6", "--seed", "1", "-o", str(report), "--aggregate-out", str(agg)]
+    assert main(argv) == 64
+    assert not report.exists() and not agg.exists()
+
+
 def test_validation_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n_cars": 2, "sequence": [1, 1, 1, 2]}))

@@ -24,6 +24,7 @@ from dqi_bench import (
     simulate_circuit,
     syndrome,
 )
+from dqi_bench import decoder
 from dqi_bench.decoder import DECODERS
 from oracles import (
     bfs_distance,
@@ -31,6 +32,7 @@ from oracles import (
     matchings_bruteforce,
     min_length_decode_pairs,
     parity_systems,
+    path_lengths,
 )
 
 instances = st.builds(
@@ -61,6 +63,9 @@ def test_build_graph_worked_example(ex1_graph):
         (1, 2), (2, 3), (3, 4), (4, 2), (2, 3),
     ]
     assert ex1_graph.dedup_class == {1: 1, 2: 2, 3: 3, 4: 4, 5: 2}
+    assert ex1_graph.pairs == {(1, 2): 1, (2, 3): 2, (3, 4): 3, (2, 4): 4}
+    assert ex1_graph.adjacency == {1: (2,), 2: (1, 3, 4), 3: (2, 4), 4: (2, 3)}
+    assert ex1_graph.component == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
 def test_build_graph_single_row():
@@ -118,7 +123,7 @@ def test_path_list_skips_cross_component_pairs():
     x = XorsatInstance(n_vars=4, rows=((1, 2), (3, 4)), targets=(0, 0))
     p = build_path_list(build_graph(x))
     assert {(e.u, e.v) for e in p.entries} == {(1, 2), (3, 4)}
-    assert p.component[1] == p.component[2] != p.component[3]
+    assert p.component == {1: 1, 2: 1, 3: 2, 4: 2}
 
 
 @settings(max_examples=30, deadline=None)
@@ -129,12 +134,12 @@ def test_path_list_matches_bfs_oracle(inst):
         return
     p = build_path_list(build_graph(x))
     adj = graph_adjacency(x)
-    for (u, v), d in p.dist.items():
-        assert bfs_distance(adj, u)[v] == d
+    for (u, v), i in p.index.items():
+        assert bfs_distance(adj, u)[v] == p.entries[i].length
     lengths = [e.length for e in p.entries]
     assert lengths == sorted(lengths)
     for entry in p.entries:
-        assert entry.length == p.dist[(entry.u, entry.v)] == len(entry.edges)
+        assert entry.length == len(entry.edges)
 
 
 # ---------------------------------------------------------------- greedy
@@ -218,10 +223,11 @@ def test_weight_one_failures_match(ex1_paths, ex1_reduced):
     assert fails[greedy_decode] == fails[min_length_decode] == [(0, 0, 0, 0, 1)]
 
 
-def test_min_length_capacity_error(ex1_paths, ex1_reduced):
+def test_min_length_capacity_error(monkeypatch, ex1_paths, ex1_reduced):
     # e1 + e3 touch four distinct vertices
+    monkeypatch.setattr(decoder, "_T_CAP", 2)
     with pytest.raises(CapacityError):
-        min_length_decode(ex1_paths, ex1_reduced[0], (1, 0, 1, 0, 0), t_cap=2)
+        min_length_decode(ex1_paths, ex1_reduced[0], (1, 0, 1, 0, 0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -240,7 +246,7 @@ def test_min_length_matches_bruteforce_matching(inst, data):
         if bit:
             t_by_comp.setdefault(p.component[v], []).append(v)
     best = sum(
-        min(w for w, _ in matchings_bruteforce(tuple(sorted(vs)), p.dist))
+        min(w for w, _ in matchings_bruteforce(tuple(sorted(vs)), path_lengths(p)))
         for vs in t_by_comp.values()
     )
     assert sum(out.decoded_error) == best
@@ -305,7 +311,7 @@ def test_min_length_batch_matches_pairing_oracle(x, masks):
                 by_comp.setdefault(p.component[v], []).append(v)
         want = [0] * x.m
         for verts in by_comp.values():
-            _, pairs = min(matchings_bruteforce(tuple(verts), p.dist))
+            _, pairs = min(matchings_bruteforce(tuple(verts), path_lengths(p)))
             for pair in pairs:
                 for eid in p.entries[p.index[pair]].edges:
                     want[eid - 1] ^= 1

@@ -151,12 +151,13 @@ def test_exact_profile_min_length(ex1_reduced, ex1_paths):
     assert prof.eps == (0.0, 0.2)
 
 
-def test_exact_profile_budget(ex1_reduced):
+def test_exact_profile_budget(monkeypatch, ex1_reduced):
     # 4 variables in one component: degree 1 decodes the 1 + C(4, 2) = 7
     # syndromes of at most 2 vertices, degree 2 and up all 2^3 = 8 even ones
+    monkeypatch.setattr(dqi, "ENUMERATION_BUDGET", 7)
     with pytest.raises(CapacityError, match="needs 8 syndromes.*Monte Carlo"):
-        failure_profile_exact("greedy", ex1_reduced[0], 2, budget=7)
-    assert failure_profile_exact("greedy", ex1_reduced[0], 1, budget=7).eps == (0.0, 0.2)
+        failure_profile_exact("greedy", ex1_reduced[0], 2)
+    assert failure_profile_exact("greedy", ex1_reduced[0], 1).eps == (0.0, 0.2)
 
 
 def test_exact_budget_follows_the_degree():
