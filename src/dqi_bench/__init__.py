@@ -24,6 +24,7 @@ from .decoder import (
     greedy_decode,
     min_length_decode,
     simulate_circuit,
+    simulate_circuit_batch,
     write_circuit,
 )
 from .dqi import (

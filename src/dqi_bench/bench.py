@@ -52,7 +52,7 @@ REPORT_COLUMNS = [
     "n_cars", "n", "m", "code_distance", "l", "decoder", "mode",
     "p_opt", "c_opt", "c_dqi", "c_total", "eps_json", "seed",
 ]
-AGGREGATE_COLUMNS = ["n_cars", "metric", "mean", "std"]
+AGGREGATE_COLUMNS = ["n_cars", "decoder", "mode", "metric", "mean", "std"]
 
 
 def instance_digest(inst: BpspInstance) -> str:
@@ -431,8 +431,9 @@ def validate_approximation(
 
     For every car count in ``n_list``, ``instances_per_n`` seeded instances
     go through both pipelines at the default degree rule.  Returns the
-    paired rows, per-N aggregates (including the geometric mean of the
-    approx/exact ratio), and the rows whose ratio falls outside [0.05, 3].
+    paired rows, per-N aggregates (the geometric mean of the approx/exact
+    ratio, under mode "approx/exact", then each mode's own metrics), and
+    the rows whose ratio falls outside [0.05, 3].
     """
     tasks = [
         (int(n_cars), derive_seed(seed, int(n_cars), i), samples, decoder)
@@ -467,6 +468,8 @@ def validate_approximation(
         aggregates.append(
             {
                 "n_cars": n_cars,
+                "decoder": decoder,
+                "mode": "approx/exact",
                 "metric": "geomean_p_ratio",
                 "mean": exp(sum(logs) / len(logs)),
                 "std": float(np.std(logs)),
@@ -477,23 +480,25 @@ def validate_approximation(
 
 
 def aggregate_rows(rows, metrics=("p_opt", "c_opt", "c_dqi", "c_total")) -> list[dict]:
-    """Mean/std per car count for the chosen row metrics (grouped over finite values)."""
+    """Mean/std of the chosen row metrics over the finite values of each group.
+
+    Rows are grouped by (car count, decoder, mode), so no aggregate mixes
+    two decoders or an exact with an approximate run.
+    """
     out = []
-    groups: dict[int, list[dict]] = {}
+    groups: dict[tuple[int, str, str], list[dict]] = {}
     for row in rows:
-        groups.setdefault(row["n_cars"], []).append(row)
-    for n_cars in sorted(groups):
+        groups.setdefault((row["n_cars"], row["decoder"], row["mode"]), []).append(row)
+    for (n_cars, decoder, mode), group in sorted(groups.items()):
         for metric in metrics:
-            values = [
-                float(r[metric])
-                for r in groups[n_cars]
-                if np.isfinite(float(r[metric]))
-            ]
+            values = [float(r[metric]) for r in group if np.isfinite(float(r[metric]))]
             if not values:
                 continue
             out.append(
                 {
                     "n_cars": n_cars,
+                    "decoder": decoder,
+                    "mode": mode,
                     "metric": metric,
                     "mean": float(np.mean(values)),
                     "std": float(np.std(values)),
@@ -558,4 +563,4 @@ def write_aggregate_csv(aggregates, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(AGGREGATE_COLUMNS)
         for agg in aggregates:
-            writer.writerow([agg["n_cars"], agg["metric"], agg["mean"], agg["std"]])
+            writer.writerow([agg[column] for column in AGGREGATE_COLUMNS])

@@ -25,11 +25,19 @@ of solved vertex sets across the batch.  ``greedy_decode`` and
 gate-for-gate into a reversible circuit of CNOT/Toffoli gates over three
 registers (syndrome, one flag qubit per path, error), which is what makes
 it attractive as an in-circuit decoder.
+
+Classical simulation compiles a gate list once, on first use, into flat
+(control, control, target) word indices, checking every gate's shape and
+every wire before any gate runs.  One interpreter loop then applies
+``w[t] ^= w[c1] & w[c2]`` over Python-int words, bit b of each word being
+basis state b: ``simulate_circuit_batch`` runs a whole batch of basis
+states in one pass, and ``simulate_circuit`` is a batch of one.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,10 +100,52 @@ class DecodeOutcome:
 
 @dataclass(frozen=True)
 class GateList:
+    """A reversible circuit over the syndrome, path and error registers.
+
+    ``program`` is the gate list compiled once, on first use, into flat
+    (control 1, control 2, target) word indices over the registers laid
+    end to end; a CX repeats its control.  Every gate's shape and every
+    wire's register and range are checked then, before any gate runs.
+    """
+
     n_syndrome: int
     n_path: int
     n_error: int
     gates: tuple[tuple, ...]  # ("CX", ctrl, tgt) or ("CCX", c1, c2, tgt), wires ("v"|"p"|"e", i)
+
+    @cached_property
+    def program(self) -> tuple[tuple[int, int, int], ...]:
+        index: dict[tuple[str, int], int] = {}
+        for reg, size in (("v", self.n_syndrome), ("p", self.n_path), ("e", self.n_error)):
+            base = len(index)
+            index.update({(reg, i): base + i - 1 for i in range(1, size + 1)})
+
+        def checked(gate) -> tuple[int, int, int]:
+            kind, *wires = gate
+            if not (kind == "CX" and len(wires) == 2 or kind == "CCX" and len(wires) == 3):
+                raise ValidationError(f"malformed circuit: bad gate {gate!r}")
+            words = []
+            for reg, i in (wires[-1], *wires[:-1]):  # the target first
+                if (reg, i) not in index:
+                    raise ValidationError(f"malformed circuit: wire {reg}:{i} out of range")
+                words.append(index[reg, i])
+            t, *ctrls = words
+            return ctrls[0], ctrls[-1], t
+
+        program = []
+        for gate in self.gates:
+            try:  # the common case; anything unusual gets the full check
+                if gate[0] == "CX" and len(gate) == 3:
+                    c = index[gate[1]]
+                    program.append((c, c, index[gate[2]]))
+                    continue
+                if gate[0] == "CCX" and len(gate) == 4:
+                    program.append((index[gate[1]], index[gate[2]], index[gate[3]]))
+                    continue
+            except (KeyError, TypeError, IndexError):
+                pass
+            program.append(checked(gate))
+        return tuple(program)
 
 
 @dataclass(frozen=True)
@@ -205,13 +255,22 @@ def greedy_decode(p: PathList, x: XorsatInstance, y) -> DecodeOutcome:
     return _outcome(y, _greedy_scan(p, list(syndrome(x, y)), x.m))
 
 
+def _pack_columns(bits: np.ndarray) -> list[int]:
+    """One int word per column of a (batch, width) 0/1 array: bit b is row b."""
+    packed = np.packbits(bits, axis=0, bitorder="little")
+    return [int.from_bytes(c.tobytes(), "little") for c in packed.T]
+
+
+def _unpack_columns(words: list[int], batch: int) -> np.ndarray:
+    """The (batch, len(words)) 0/1 array whose column j is word j."""
+    size = (batch + 7) // 8
+    raw = np.frombuffer(b"".join(w.to_bytes(size, "little") for w in words), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(words), size), axis=1, count=batch, bitorder="little").T
+
+
 def greedy_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarray) -> np.ndarray:
     """Greedy-decode a (batch, n_vars) 0/1 array of syndromes into (batch, m) errors."""
-    packed = np.packbits(syndromes, axis=0, bitorder="little")  # one column per vertex
-    words = _greedy_scan(p, [int.from_bytes(c.tobytes(), "little") for c in packed.T], x.m)
-    size = len(packed)
-    raw = np.frombuffer(b"".join(w.to_bytes(size, "little") for w in words), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(x.m, size), axis=1, count=len(syndromes), bitorder="little").T
+    return _unpack_columns(_greedy_scan(p, _pack_columns(syndromes), x.m), len(syndromes))
 
 
 def _pairing(mask: int, memo: dict[int, tuple[int, int]], link) -> tuple[int, int]:
@@ -346,39 +405,57 @@ def emit_circuit(p: PathList, g: ConstraintGraph) -> GateList:
     )
 
 
+def _run(program, words: list[int]) -> None:
+    """The interpreter: bit b of every word is basis state b."""
+    for c1, c2, t in program:
+        words[t] ^= words[c1] & words[c2]
+
+
+def _check_bits(name: str, bits, size: int) -> None:
+    if len(bits) != size:
+        raise ValidationError(f"{name} register length {len(bits)} != {size}")
+    if any(b != 0 and b != 1 for b in bits):
+        raise ValidationError(f"{name} register values must be 0 or 1")
+
+
 def simulate_circuit(gl: GateList, y, s) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Apply the gate list to classical basis states; returns (syndrome, path, error)."""
-    y = [int(b) for b in y]
-    s = [int(b) for b in s]
-    if len(y) != gl.n_error:
-        raise ValidationError(f"error register length {len(y)} != {gl.n_error}")
-    if len(s) != gl.n_syndrome:
-        raise ValidationError(f"syndrome register length {len(s)} != {gl.n_syndrome}")
-    regs = {"v": s, "p": [0] * gl.n_path, "e": y}
-    sizes = {"v": gl.n_syndrome, "p": gl.n_path, "e": gl.n_error}
+    """Apply the gate list to one classical basis state; returns (syndrome, path, error).
 
-    def read(wire):
-        reg, i = wire
-        if reg not in sizes or not 1 <= i <= sizes[reg]:
-            raise ValidationError(f"malformed circuit: wire {reg}:{i} out of range")
-        return regs[reg][i - 1]
+    This is the word interpreter of ``simulate_circuit_batch`` on a batch
+    of one, so every word is a single bit.  The gate list is compiled and
+    checked once, before any gate runs; a malformed list or a register
+    value other than 0/1 raises ValidationError.
+    """
+    y, s = tuple(y), tuple(s)
+    _check_bits("error", y, gl.n_error)
+    _check_bits("syndrome", s, gl.n_syndrome)
+    words = [int(b) for b in s] + [0] * gl.n_path + [int(b) for b in y]
+    _run(gl.program, words)
+    path_end = gl.n_syndrome + gl.n_path
+    return tuple(words[: gl.n_syndrome]), tuple(words[gl.n_syndrome : path_end]), tuple(words[path_end:])
 
-    for gate in gl.gates:
-        kind, *wires = gate
-        if kind == "CX" and len(wires) == 2:
-            ctrl, tgt = wires
-        elif kind == "CCX" and len(wires) == 3:
-            *ctrls, tgt = wires
-        else:
-            raise ValidationError(f"malformed circuit: bad gate {gate!r}")
-        read(tgt)  # range-check the target even when controls are off
-        if kind == "CX":
-            fire = read(ctrl)
-        else:
-            fire = read(ctrls[0]) and read(ctrls[1])
-        if fire:
-            regs[tgt[0]][tgt[1] - 1] ^= 1
-    return tuple(regs["v"]), tuple(regs["p"]), tuple(regs["e"])
+
+def simulate_circuit_batch(gl: GateList, errors, syndromes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply the gate list to a batch of basis states in one pass over the gates.
+
+    ``errors`` and ``syndromes`` are (batch, n_error) and (batch,
+    n_syndrome) 0/1 arrays; row b is basis state b, packed as bit b of one
+    int word per wire.  Returns the (syndrome, path, error) registers as
+    (batch, size) uint8 arrays, row for row what ``simulate_circuit`` gives.
+    """
+    errors, syndromes = np.asarray(errors), np.asarray(syndromes)
+    for name, bits, size in (("error", errors, gl.n_error), ("syndrome", syndromes, gl.n_syndrome)):
+        if bits.ndim != 2 or bits.shape[1] != size:
+            raise ValidationError(f"{name} registers must have shape (batch, {size}), got {bits.shape}")
+        if not np.isin(bits, (0, 1)).all():
+            raise ValidationError(f"{name} register values must be 0 or 1")
+    if len(errors) != len(syndromes):
+        raise ValidationError(f"{len(errors)} error registers != {len(syndromes)} syndrome registers")
+    words = _pack_columns(syndromes != 0) + [0] * gl.n_path + _pack_columns(errors != 0)
+    _run(gl.program, words)
+    bits = _unpack_columns(words, len(errors))
+    path_end = gl.n_syndrome + gl.n_path
+    return bits[:, : gl.n_syndrome], bits[:, gl.n_syndrome : path_end], bits[:, path_end:]
 
 
 def gate_cost(p: PathList) -> GateCost:

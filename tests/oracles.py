@@ -20,6 +20,7 @@ from dqi_bench import (
     DecodeOutcome,
     DickeWeights,
     FailureProfile,
+    GateList,
     PathList,
     ValidationError,
     XorsatInstance,
@@ -317,6 +318,45 @@ def greedy_decode_sets(p: PathList, x: XorsatInstance, y) -> DecodeOutcome:
         success=not any(residual_t),
         decoded_error=tuple(a ^ b for a, b in zip(y, residual_t)),
     )
+
+
+def simulate_circuit_gates(gl: GateList, y, s) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Apply the gate list gate by gate to classical basis states; returns (syndrome, path, error).
+
+    Reads and range-checks each wire as its gate runs, so it is independent
+    of the compiled word program that ``simulate_circuit`` runs.
+    """
+    y = [int(b) for b in y]
+    s = [int(b) for b in s]
+    if len(y) != gl.n_error:
+        raise ValidationError(f"error register length {len(y)} != {gl.n_error}")
+    if len(s) != gl.n_syndrome:
+        raise ValidationError(f"syndrome register length {len(s)} != {gl.n_syndrome}")
+    regs = {"v": s, "p": [0] * gl.n_path, "e": y}
+    sizes = {"v": gl.n_syndrome, "p": gl.n_path, "e": gl.n_error}
+
+    def read(wire):
+        reg, i = wire
+        if reg not in sizes or not 1 <= i <= sizes[reg]:
+            raise ValidationError(f"malformed circuit: wire {reg}:{i} out of range")
+        return regs[reg][i - 1]
+
+    for gate in gl.gates:
+        kind, *wires = gate
+        if kind == "CX" and len(wires) == 2:
+            ctrl, tgt = wires
+        elif kind == "CCX" and len(wires) == 3:
+            *ctrls, tgt = wires
+        else:
+            raise ValidationError(f"malformed circuit: bad gate {gate!r}")
+        read(tgt)  # range-check the target even when controls are off
+        if kind == "CX":
+            fire = read(ctrl)
+        else:
+            fire = read(ctrls[0]) and read(ctrls[1])
+        if fire:
+            regs[tgt[0]][tgt[1] - 1] ^= 1
+    return tuple(regs["v"]), tuple(regs["p"]), tuple(regs["e"])
 
 
 def _min_weight_pairing(verts: tuple[int, ...], dist) -> tuple[tuple[int, int], ...]:

@@ -33,12 +33,14 @@ from dqi_bench import (
     satisfied_count,
     shell_sum_A,
     simulate_circuit,
+    simulate_circuit_batch,
     default_degree,
     sweep_degree,
     syndrome,
     validate_approximation,
 )
 from dqi_bench.bench import derive_seed
+from dqi_bench.decoder import DECODERS
 from oracles import amplitude_oracle, parse_lp, shell_sum_bruteforce
 
 BASE_SEED = 20250808
@@ -158,6 +160,24 @@ def test_criterion_03_circuit_reproduces_greedy():
                 ok = ok and v_reg == s
         if not ok:
             break
+    crit.finish(ok)
+
+
+def test_criterion_03_circuit_decodes_whole_shells_in_one_batch():
+    crit = Criterion(3, "circuit equals greedy decoder on whole shells", budget_s=60.0)
+    inst = generate_instance(40, derive_seed(BASE_SEED, "circ-shells"))
+    x, _ = reduce_instance(encode_icc(inst), inst)
+    graph = build_graph(x)
+    paths = build_path_list(graph)
+    gates = emit_circuit(paths, graph)
+    errors = np.zeros((1 + x.m + x.m * (x.m - 1) // 2, x.m), dtype=np.uint8)
+    for row, pos in enumerate(p for k in (1, 2) for p in combinations(range(x.m), k)):
+        errors[row + 1, list(pos)] = 1
+    syndromes = (errors @ np.array(to_matrix(x)) % 2).astype(np.uint8)
+    v_reg, _, e_reg = simulate_circuit_batch(gates, errors, syndromes)
+    ok = x.m >= 60
+    ok = ok and np.array_equal(v_reg, syndromes)
+    ok = ok and np.array_equal(e_reg, errors ^ DECODERS["greedy"](paths, x, syndromes))
     crit.finish(ok)
 
 

@@ -416,7 +416,28 @@ def test_aggregate_rows(tmp_path, ex1):
     assert (5, "p_opt") in metrics and (5, "c_total") in metrics
     path = tmp_path / "agg.csv"
     write_aggregate_csv(aggs, path)
-    assert path.read_text().splitlines()[0] == "n_cars,metric,mean,std"
+    assert path.read_text().splitlines()[0] == "n_cars,decoder,mode,metric,mean,std"
+
+
+def test_aggregate_rows_keep_decoders_apart(ex1):
+    # grouped by car count alone, c_dqi averaged greedy's gate count with min-length's n^4
+    rows = compare_decoders(ex1, l=1, samples=None, seed=0)
+    assert len({row["c_dqi"] for row in rows}) == 2
+    aggs = {(a["decoder"], a["mode"], a["metric"]): a for a in aggregate_rows(rows)}
+    assert len(aggs) == 2 * 4
+    for row in rows:
+        agg = aggs[row["decoder"], "exact", "c_dqi"]
+        assert (agg["n_cars"], agg["mean"], agg["std"]) == (5, row["c_dqi"], 0.0)
+
+
+def test_validate_aggregates_keep_modes_apart():
+    rows, aggregates, _ = validate_approximation([4], instances_per_n=3, seed=2, samples=40)
+    p_opt = {a["mode"]: a["mean"] for a in aggregates if a["metric"] == "p_opt"}
+    assert set(p_opt) == {"exact", "approx"}
+    for mode, mean in p_opt.items():
+        assert mean == pytest.approx(np.mean([r["p_opt"] for r in rows if r["mode"] == mode]), abs=0, rel=1e-15)
+    (geo,) = [a for a in aggregates if a["metric"] == "geomean_p_ratio"]
+    assert (geo["decoder"], geo["mode"]) == ("greedy", "approx/exact")
 
 
 def test_instance_digest_stability(ex1):

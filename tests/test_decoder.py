@@ -22,6 +22,7 @@ from dqi_bench import (
     min_length_decode,
     reduce_instance,
     simulate_circuit,
+    simulate_circuit_batch,
     syndrome,
 )
 from dqi_bench import decoder
@@ -33,6 +34,7 @@ from oracles import (
     min_length_decode_pairs,
     parity_systems,
     path_lengths,
+    simulate_circuit_gates,
 )
 
 instances = st.builds(
@@ -393,6 +395,134 @@ def test_simulate_rejects_bad_lengths(ex1_paths, ex1_graph):
     gl = emit_circuit(ex1_paths, ex1_graph)
     with pytest.raises(ValidationError):
         simulate_circuit(gl, (0, 0), (0, 0, 0, 0))
+
+
+def test_simulate_checks_every_wire_before_running():
+    # the first control is 0, so a gate-by-gate run never reads the second
+    gl = GateList(n_syndrome=1, n_path=0, n_error=1, gates=(("CCX", ("v", 1), ("v", 9), ("e", 1)),))
+    assert simulate_circuit_gates(gl, (0,), (0,)) == ((0,), (), (0,))
+    with pytest.raises(ValidationError, match="wire v:9 out of range"):
+        simulate_circuit(gl, (0,), (0,))
+    with pytest.raises(ValidationError, match="wire v:9 out of range"):
+        simulate_circuit_batch(gl, np.zeros((1, 1), np.uint8), np.zeros((1, 1), np.uint8))
+
+
+@pytest.mark.parametrize("value", [2, -1])
+def test_simulate_rejects_non_binary_registers(value):
+    gl = GateList(n_syndrome=1, n_path=0, n_error=1, gates=(("CX", ("v", 1), ("e", 1)),))
+    with pytest.raises(ValidationError, match="syndrome register values must be 0 or 1"):
+        simulate_circuit(gl, (0,), (value,))
+    with pytest.raises(ValidationError, match="error register values must be 0 or 1"):
+        simulate_circuit(gl, (value,), (0,))
+    with pytest.raises(ValidationError, match="syndrome register values must be 0 or 1"):
+        simulate_circuit_batch(gl, [[0], [0]], [[1], [value]])
+    with pytest.raises(ValidationError, match="error register values must be 0 or 1"):
+        simulate_circuit_batch(gl, [[value]], [[0]])
+
+
+@st.composite
+def gate_lists(draw):
+    """A gate list of random register sizes and CX/CCX gates over in-range wires."""
+    sizes = [draw(st.integers(0, 4)) for _ in "vpe"]
+    wires = [(reg, i) for reg, size in zip("vpe", sizes) for i in range(1, size + 1)]
+    gates = ()
+    if wires:
+        wire = st.sampled_from(wires)
+        gate = st.one_of(
+            st.tuples(st.just("CX"), wire, wire),
+            st.tuples(st.just("CCX"), wire, wire, wire),
+        )
+        gates = tuple(draw(st.lists(gate, max_size=40)))
+    return GateList(n_syndrome=sizes[0], n_path=sizes[1], n_error=sizes[2], gates=gates)
+
+
+def assert_matches_gate_oracle(gl, states):
+    """simulate_circuit and each row of simulate_circuit_batch equal the gate-by-gate oracle."""
+    want = [simulate_circuit_gates(gl, y, s) for y, s in states]
+    assert [simulate_circuit(gl, y, s) for y, s in states] == want
+    errors = np.array([y for y, _ in states], dtype=np.uint8).reshape(len(states), gl.n_error)
+    syndromes = np.array([s for _, s in states], dtype=np.uint8).reshape(len(states), gl.n_syndrome)
+    regs = simulate_circuit_batch(gl, errors, syndromes)
+    assert [tuple(tuple(int(b) for b in reg[row]) for reg in regs) for row in range(len(states))] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(gate_lists(), st.data())
+def test_simulate_matches_gate_oracle(gl, data):
+    def bits(size):
+        return st.tuples(*[st.integers(0, 1)] * size)
+
+    states = data.draw(st.lists(st.tuples(bits(gl.n_error), bits(gl.n_syndrome)), min_size=1, max_size=9))
+    assert_matches_gate_oracle(gl, states)
+
+
+def test_simulate_repeated_controls_and_control_targets():
+    gates = (
+        ("CCX", ("v", 1), ("v", 1), ("p", 1)),  # a Toffoli with one control twice
+        ("CX", ("p", 1), ("p", 1)),  # a CNOT onto its own control clears it
+        ("CCX", ("e", 1), ("v", 1), ("e", 1)),  # a Toffoli onto one of its controls
+        ("CX", ("v", 1), ("p", 1)),
+    )
+    gl = GateList(n_syndrome=1, n_path=1, n_error=1, gates=gates)
+    states = [((e,), (v,)) for e in (0, 1) for v in (0, 1)]
+    assert_matches_gate_oracle(gl, states)
+    assert [simulate_circuit(gl, y, s) for y, s in states] == [
+        ((0,), (0,), (0,)), ((1,), (1,), (0,)), ((0,), (0,), (1,)), ((1,), (1,), (0,)),
+    ]
+
+
+def test_simulate_takes_wires_as_lists():
+    gates = (("CCX", ["v", 1], ["e", 1], ["p", 1]), ["CX", ["p", 1], ["v", 1]])
+    gl = GateList(n_syndrome=1, n_path=1, n_error=1, gates=gates)
+    assert_matches_gate_oracle(gl, [((e,), (v,)) for e in (0, 1) for v in (0, 1)])
+    assert simulate_circuit(gl, (1,), (1,)) == ((0,), (1,), (1,))
+
+
+EMPTY = GateList(n_syndrome=2, n_path=1, n_error=2, gates=())
+
+
+@pytest.mark.parametrize(
+    "gates, message",
+    [
+        ((("CZ", ("v", 1), ("e", 1)),), "bad gate"),
+        ((("CX", ("v", 1)),), "bad gate"),
+        ((("CCX", ("v", 1), ("v", 2)),), "bad gate"),
+        ((("CX", ("v", 1), ("e", 1), ("e", 2)),), "bad gate"),
+        ((("CX", ("v", 1), ("q", 1)),), "wire q:1 out of range"),
+        ((("CX", ("v", 0), ("e", 1)),), "wire v:0 out of range"),
+        ((("CX", ("v", 1), ("e", 3)),), "wire e:3 out of range"),
+        ((("CCX", ("v", 1), ("p", 2), ("e", 1)),), "wire p:2 out of range"),
+        ((("CX", ("v", 1), ("e", 1)), ("CX", ("e", 1), ("v", 3))), "wire v:3 out of range"),
+    ],
+)
+def test_simulate_rejects_malformed_gate_lists(gates, message):
+    gl = GateList(n_syndrome=2, n_path=1, n_error=2, gates=gates)
+    ones = (1, 1)
+    with pytest.raises(ValidationError, match=message):
+        simulate_circuit_gates(gl, ones, ones)  # all wires 1: the oracle reads every wire too
+    with pytest.raises(ValidationError, match=message):
+        simulate_circuit(gl, ones, ones)
+    with pytest.raises(ValidationError, match=message):
+        simulate_circuit_batch(gl, [ones], [ones])
+
+
+@pytest.mark.parametrize(
+    "errors, syndromes, message",
+    [
+        ([0, 0], [[0, 0]], r"error registers must have shape \(batch, 2\)"),
+        ([[0, 0, 0]], [[0, 0]], r"error registers must have shape \(batch, 2\)"),
+        ([[0, 0]], [[0]], r"syndrome registers must have shape \(batch, 2\)"),
+        ([[0, 0], [1, 1]], [[0, 0]], "2 error registers != 1 syndrome registers"),
+    ],
+)
+def test_simulate_batch_rejects_bad_shapes(errors, syndromes, message):
+    with pytest.raises(ValidationError, match=message):
+        simulate_circuit_batch(EMPTY, errors, syndromes)
+
+
+def test_simulate_batch_of_none():
+    regs = simulate_circuit_batch(EMPTY, np.zeros((0, 2), np.uint8), np.zeros((0, 2), np.uint8))
+    assert [reg.shape for reg in regs] == [(0, 2), (0, 1), (0, 2)]
 
 
 @settings(max_examples=20, deadline=None)

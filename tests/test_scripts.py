@@ -30,4 +30,4 @@ def test_script_runs(script, tmp_path):
     summary = json.loads(done.stdout.strip().splitlines()[-1])
     assert summary["output"] == str(out)
     if script == "decoder_comparison.py":
-        assert (tmp_path / "agg.csv").read_text().startswith("n_cars,metric,mean,std")
+        assert (tmp_path / "agg.csv").read_text().startswith("n_cars,decoder,mode,metric,mean,std")
