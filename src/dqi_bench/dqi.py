@@ -12,9 +12,12 @@ Both decoders see only an error's syndrome, so the exact profile decodes
 once every syndrome an error of weight <= l can have (an even number of
 vertices per component, at most 2l in all) and reads D_k off the decoded
 errors; the Monte Carlo profile samples errors and decodes each distinct
-syndrome among them once.  Each profile is one decoder batch.  Probability
-arithmetic is 64-bit float; binomial coefficients and shell sums are exact
-integers converted as late as possible.
+syndrome among them once.  Each profile is one decoder batch.  The sampler
+owns its random stream: a drawn shell equals numpy 2.4.6's per-draw
+``default_rng((seed, k, draw)).choice``, replayed in-package for all draws
+at once, so sampled profiles no longer depend on the installed numpy.
+Probability arithmetic is 64-bit float; binomial coefficients and shell
+sums are exact integers converted as late as possible.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from math import comb, inf, sqrt
 
 import numpy as np
 
+from ._stream import draw_shell
 from .decoder import DECODERS, PathList, build_graph, build_path_list
 from .encoding import XorsatInstance
 from .errors import CapacityError, ValidationError
@@ -289,15 +293,37 @@ def failure_profile_exact(
     )
 
 
-def sample_shell_error(m: int, k: int, seed: int, draw: int) -> tuple[int, ...]:
-    """Deterministic uniform weight-k error: draw index -> sorted positions.
+def _check_draws(m: int, k: int, seed: int, draws: int) -> None:
+    if not 0 <= k <= m:
+        raise ValidationError(f"weight k={k} out of range 0..{m}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    if draws < 0:
+        raise ValidationError(f"draws must be >= 0, got {draws}")
+    if draws > 1 << 32:
+        raise CapacityError(f"{draws} draws exceed 2^32 per shell")
+    if m > 10000 and k > m // 50:
+        raise CapacityError(
+            f"drawing {k} of {m} rows needs numpy's tail shuffle (m > 10000, k > m // 50)"
+        )
 
-    Each draw owns a generator seeded by (seed, k, draw), so samples do not
-    depend on evaluation order or worker count, and paired runs with the
-    same seed see byte-identical error sets.
+
+def sample_shell_error(m: int, k: int, seed: int, draws: int) -> np.ndarray:
+    """Deterministic uniform weight-k errors: a (draws, k) int64 array of sorted positions.
+
+    Row i is the sorted ``numpy.random.default_rng((seed, k, i)).choice(m, k,
+    replace=False)`` of numpy 2.4.6, replayed in-package (``_stream``), so
+    the draws no longer depend on the installed numpy.  Each draw has its own
+    stream, so samples do not depend on evaluation order or worker count, and
+    paired runs with the same seed see byte-identical error sets.
+
+    Checked before any draw: k outside 0..m, a negative seed or draws raise
+    ``ValidationError``; more than 2^32 draws (draw indices past one 32-bit
+    word), or m > 10000 with k > m // 50 (where numpy switches to a tail
+    shuffle), raise ``CapacityError``.
     """
-    rng = np.random.default_rng((seed, k, draw))
-    return tuple(sorted(int(j) for j in rng.choice(m, size=k, replace=False)))
+    _check_draws(m, k, seed, draws)
+    return draw_shell(m, k, seed, draws)
 
 
 def failure_profile_mc(
@@ -311,17 +337,20 @@ def failure_profile_mc(
     """Monte Carlo failure rates: a fixed number of uniform errors per shell.
 
     Shells with at most ``samples`` errors are enumerated exactly instead;
-    draws are independent, so an error can be sampled more than once.
+    draws are independent, so an error can be sampled more than once.  Each
+    drawn shell is one ``sample_shell_error`` call, and its refusals are
+    checked for the heaviest drawn shell before any shell is drawn.
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     if not 0 <= l <= x.m:
         raise ValidationError(f"degree l={l} out of range 0..{x.m}")
     sizes = tuple(comb(x.m, k) for k in range(l + 1))
+    drawn = [k for k, size in enumerate(sizes) if size > samples]
+    if drawn:  # whatever refuses a drawn shell refuses the heaviest one
+        _check_draws(x.m, drawn[-1], seed, samples)
     shells = [
-        _combinations(x.m, k) if size <= samples else np.array(
-            [sample_shell_error(x.m, k, seed, i) for i in range(samples)], np.min_scalar_type(x.m)
-        )
+        sample_shell_error(x.m, k, seed, samples) if size > samples else _combinations(x.m, k)
         for k, size in enumerate(sizes)
     ]
     return FailureProfile(

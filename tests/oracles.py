@@ -33,7 +33,6 @@ from dqi_bench.dqi import (
     DEFAULT_SAMPLES,
     _check_weights_profile,
     normalization,
-    sample_shell_error,
 )
 
 
@@ -498,6 +497,16 @@ def failure_profile_exact_loop(
     )
 
 
+def sample_shell_error_numpy(m: int, k: int, seed: int, draw: int) -> tuple[int, ...]:
+    """One deterministic uniform weight-k error, drawn by the installed numpy.
+
+    Each draw owns a generator seeded by (seed, k, draw): the per-draw
+    sampler the package replays in ``dqi_bench._stream``.
+    """
+    rng = np.random.default_rng((seed, k, draw))
+    return tuple(sorted(int(j) for j in rng.choice(m, size=k, replace=False)))
+
+
 def failure_profile_mc_loop(
     decoder: str,
     x: XorsatInstance,
@@ -525,7 +534,7 @@ def failure_profile_mc_loop(
             eps.append(fails / size)
         else:
             fails = sum(
-                0 if runner.succeeds(sample_shell_error(x.m, k, seed, i)) else 1
+                0 if runner.succeeds(sample_shell_error_numpy(x.m, k, seed, i)) else 1
                 for i in range(samples)
             )
             eps.append(fails / samples)

@@ -183,9 +183,10 @@ def test_mc_profile_deterministic():
     a = failure_profile_mc("greedy", x, 3, samples=50, seed=11)
     b = failure_profile_mc("greedy", x, 3, samples=50, seed=11)
     assert a.eps == b.eps
-    draw = sample_shell_error(x.m, 3, 11, 7)
-    assert draw == sample_shell_error(x.m, 3, 11, 7)
-    assert len(draw) == len(set(draw)) == 3  # positions without replacement
+    draws = sample_shell_error(x.m, 3, 11, 8)
+    assert draws.tolist() == sample_shell_error(x.m, 3, 11, 8).tolist()
+    assert draws.shape == (8, 3)
+    assert all(len(set(row)) == 3 for row in draws.tolist())  # positions without replacement
 
 
 def test_mc_profile_concentration():
