@@ -30,6 +30,7 @@ from .dqi import (
     dicke_weights,
     failure_profile_exact,
     failure_profile_mc,
+    mc_shells,
     p_opt_approx,
     p_opt_exact,
 )
@@ -212,7 +213,9 @@ class _Instance:
     Construction refuses an optimum search over the elimination-width cap
     (``WIDTH_CAP``) before any other work, and the row builders then refuse
     an exact profile over its syndrome budget.  The path list, the optimum
-    search and the Dicke weights run on first use and only once.
+    search and the Dicke weights run on first use and only once, and so do
+    the Monte Carlo shells of each (degree, samples, seed), which every
+    decoder scores.
     """
 
     def __init__(self, inst: BpspInstance, encoding: str, reduce: bool):
@@ -221,6 +224,7 @@ class _Instance:
         self.forced_swaps = record.forced_swaps if record else 0
         self.order = _elimination_order(self.x.n_vars, _pair_scores(self.x))
         self._weights: dict[int, DickeWeights] = {}
+        self._shells: dict[tuple[int, int, int], list[np.ndarray]] = {}
 
     @cached_property
     def paths(self) -> PathList:
@@ -238,7 +242,12 @@ class _Instance:
     def profile(self, decoder: str, exact: bool, l: int, samples: int, seed: int):
         if exact:
             return failure_profile_exact(decoder, self.x, l, paths=self.paths)
-        return failure_profile_mc(decoder, self.x, l, samples=samples, seed=seed, paths=self.paths)
+        if (l, samples, seed) not in self._shells:
+            self._shells[l, samples, seed] = mc_shells(self.x.m, l, samples, seed)
+        return failure_profile_mc(
+            decoder, self.x, l, samples=samples, seed=seed, paths=self.paths,
+            shells=self._shells[l, samples, seed],
+        )
 
 
 def _pipeline_rows(inst, runs, encoding, reduce, l, samples, seed) -> list[dict]:

@@ -19,9 +19,15 @@ graph distances.
 
 ``DECODERS`` maps each name to its batch form: a (batch, n_vars) 0/1 array
 of syndromes in, a (batch, m) 0/1 array of decoded errors out.  The greedy
-scan runs once per batch over bit-sliced ints; the pairing shares one memo
-of solved vertex sets across the batch.  ``greedy_decode`` and
-``min_length_decode`` are batches of one.  The scan translates
+scan runs once per batch over bit-sliced ints.  The minimum-weight T-join
+is a minimum pairing of T over shortest paths (Edmonds and Johnson,
+"Matching, Euler tours and the Chinese postman", Math. Prog. 1973).  A
+batch with at least as many rows as the even vertex sets it can need, such
+as an exact profile's, fills one pairing table per component, layer by
+layer in set size, with one vectorized pass per partner column; any other
+batch pairs each part recursively, sharing one memo of solved vertex sets.
+Both give the same errors.  ``greedy_decode`` and ``min_length_decode``
+are batches of one.  The scan translates
 gate-for-gate into a reversible circuit of CNOT/Toffoli gates over three
 registers (syndrome, one flag qubit per path, error), which is what makes
 it attractive as an in-circuit decoder.
@@ -38,6 +44,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
@@ -309,13 +316,8 @@ def min_length_decode(p: PathList, x: XorsatInstance, y) -> DecodeOutcome:
     return _outcome(y, min_length_decode_batch(p, x, syn)[0])
 
 
-def min_length_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarray) -> np.ndarray:
-    """Min-length-decode a (batch, n_vars) 0/1 array of syndromes into (batch, m) errors.
-
-    Each syndrome's support T is paired per component, and one memo of
-    solved vertex sets serves the whole batch.  A T larger than ``_T_CAP``
-    raises CapacityError instead of attempting the 2^|T| search.
-    """
+def _memo_decode(p: PathList, x: XorsatInstance, bits: np.ndarray) -> np.ndarray:
+    """The min-length errors of a batch, one ``_pairing`` per component part of each row."""
     n = x.n_vars
     link = [[None] * n for _ in range(n)]
     for (u, v), i in p.index.items():
@@ -326,24 +328,157 @@ def min_length_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarra
         comp_masks[comp] = comp_masks.get(comp, 0) | 1 << (v - 1)
     memo: dict[int, tuple[int, int]] = {0: (0, 0)}
     width = (x.m + 7) // 8
-    packed = np.packbits(syndromes, axis=1, bitorder="little")
-    raw = bytearray(len(packed) * width)
-    for i, row in enumerate(packed):
+    raw = bytearray(len(bits) * width)
+    for i, row in enumerate(np.packbits(bits, axis=1, bitorder="little")):
         mask = int.from_bytes(row.tobytes(), "little")
-        if mask.bit_count() > _T_CAP:
-            raise CapacityError(
-                f"syndrome support {mask.bit_count()} exceeds matching capacity {_T_CAP}"
-            )
         err = 0
         for comp_mask in comp_masks.values():
-            part = mask & comp_mask
-            if part:
-                if part.bit_count() % 2:
-                    raise ValidationError("odd syndrome parity within a component")
-                err ^= _pairing(part, memo, link)[1]
+            if mask & comp_mask:
+                err ^= _pairing(mask & comp_mask, memo, link)[1]
         raw[i * width : (i + 1) * width] = err.to_bytes(width, "little")
-    raw = np.frombuffer(raw, dtype=np.uint8).reshape(len(packed), width)
+    raw = np.frombuffer(raw, dtype=np.uint8).reshape(len(bits), width)
     return np.unpackbits(raw, axis=1, count=x.m, bitorder="little")
+
+
+def _colex_layers(s: int, top: int):
+    """Every j-subset of range(s), j = 0..top, as a (C(s, j), j) array in colex order.
+
+    Row r of layer j is the subset of colex rank r, sum_q C(row[q], q + 1):
+    the subsets whose largest element is c are (c, appended to) the first
+    C(c, j - 1) rows of layer j - 1.
+    """
+    dtype = np.min_scalar_type(max(s - 1, 0))
+    layer = np.zeros((1, 0), dtype=dtype)
+    yield layer
+    for j in range(1, top + 1):
+        blocks = []
+        for c in range(j - 1, s):
+            head = layer[: comb(c, j - 1)]
+            blocks.append(np.column_stack([head, np.full(len(head), c, dtype=dtype)]))
+        layer = np.concatenate(blocks)
+        yield layer
+
+
+def _pair_table(p: PathList, verts: list[int], words: int):
+    """Layer 2 of a component: the (distance, path edge words) of each pair, in colex order."""
+    s = len(verts)
+    dist = np.zeros(comb(s, 2), dtype=np.int32)
+    rows, cols, bits = [], [], []
+    for b in range(1, s):
+        for a in range(b):
+            r = a + comb(b, 2)
+            entry = p.entries[p.index[verts[a], verts[b]]]
+            dist[r] = entry.length
+            for eid in entry.edges:
+                rows.append(r)
+                cols.append((eid - 1) >> 6)
+                bits.append(1 << ((eid - 1) & 63))
+    errs = np.zeros((len(dist), words), dtype=np.uint64)
+    np.bitwise_or.at(errs, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)),
+                     np.array(bits, dtype=np.uint64))
+    return dist, errs
+
+
+def _component_table(p: PathList, verts: list[int], binom: np.ndarray, words: int) -> list[np.ndarray]:
+    """Errors of the min-length pairing of every even vertex set of one component, up to ``top`` >= 2.
+
+    Entry r of layer j (j even) is the pairing of the j-subset of colex
+    rank r, as ``words`` uint64 words.  A layer is one pass per partner
+    column: the lowest vertex S[0] pairs with S[i], i = 1..j-1 in
+    ascending order, and the rest S minus {S[0], S[i]} is looked up by its
+    rank in layer j - 2.  A strict ``<`` keeps the first of equal weights,
+    the same tie-break as ``_pairing``.  ``binom[v, q]`` is C(v, q) for
+    v < len(verts), q <= top.
+    """
+    s, top = len(verts), binom.shape[1] - 1
+    pair_w, pair_e = _pair_table(p, verts, words)
+    errs = [np.zeros((1, words), dtype=np.uint64), pair_e]
+    prev_w = pair_w
+    for j, subsets in enumerate(_colex_layers(s, top)):
+        if j < 4 or j % 2:
+            continue
+        low = subsets[:, 0]
+        # rank of S minus {S[0], S[1]}: S[q] sits at position q - 2
+        rest = sum(binom[subsets[:, q], q - 1] for q in range(2, j))
+        pair = low + binom[subsets[:, 1], 2]
+        best_w = prev_w[rest] + pair_w[pair]
+        best_rest, best_pair = rest, pair
+        for i in range(2, j):
+            # S[i - 1] moves into the rest at position i - 2, S[i] leaves it
+            rest = rest + binom[subsets[:, i - 1], i - 1] - binom[subsets[:, i], i - 1]
+            pair = low + binom[subsets[:, i], 2]
+            cand = prev_w[rest] + pair_w[pair]
+            better = cand < best_w
+            best_w = np.where(better, cand, best_w)
+            best_rest = np.where(better, rest, best_rest)
+            best_pair = np.where(better, pair, best_pair)
+        errs.append(errs[-1][best_rest] ^ pair_e[best_pair])
+        prev_w = best_w
+    return errs
+
+
+def _table_decode(p: PathList, x: XorsatInstance, bits: np.ndarray, parts) -> np.ndarray:
+    """The min-length errors of a batch, read from one pairing table per component.
+
+    ``parts`` holds, per component, its vertices and the row sizes of the
+    batch's part in it.  Each row's part is located by its size and colex rank.
+    """
+    words = (x.m + 63) // 64
+    err = np.zeros((len(bits), words), dtype=np.uint64)
+    for verts, sizes in parts:
+        top = int(sizes.max())
+        if top == 0:
+            continue
+        binom = np.array([[comb(v, q) for q in range(top + 1)] for v in range(len(verts))])
+        table = _component_table(p, verts, binom, words)
+        offset = np.cumsum([0] + [len(t) for t in table])
+        seen = np.zeros(len(bits), dtype=np.intp)
+        rank = np.zeros(len(bits), dtype=np.int64)
+        for q, v in enumerate(verts):  # the q-th set vertex adds C(local index, q)
+            col = bits[:, v - 1]
+            seen += col
+            rank += np.where(col, binom[q, seen], 0)
+        err ^= np.concatenate(table)[offset[sizes // 2] + rank]
+    raw = err.astype("<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=x.m, bitorder="little")
+
+
+def _use_table(entries: int, rows: int) -> bool:
+    """Fill a pairing table when it has no more entries than the batch has rows."""
+    return entries <= rows
+
+
+def min_length_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarray) -> np.ndarray:
+    """Min-length-decode a (batch, n_vars) 0/1 array of syndromes into (batch, m) errors.
+
+    Each syndrome's support T is paired per component.  A batch with no
+    fewer rows than its pairing tables have entries (the even vertex sets
+    of each component up to the batch's largest part there), as every
+    exact profile's batch is, reads its errors from those tables, filled
+    layer by layer; any other batch runs ``_pairing`` with one memo of
+    solved vertex sets for the whole batch.  Both give the same errors.
+    Before any pairing, a T larger than ``_T_CAP`` raises CapacityError
+    and a component holding an odd part of T raises ValidationError.
+    """
+    bits = (np.asarray(syndromes) != 0).astype(np.uint8)
+    support = int(bits.sum(axis=1).max(initial=0))
+    if support > _T_CAP:
+        raise CapacityError(f"syndrome support {support} exceeds matching capacity {_T_CAP}")
+    comps: dict[int, list[int]] = {}
+    for v, label in sorted(p.component.items()):
+        comps.setdefault(label, []).append(v)
+    parts = []
+    for verts in comps.values():
+        sizes = bits[:, [v - 1 for v in verts]].sum(axis=1, dtype=np.intp)
+        if (sizes % 2).any():
+            raise ValidationError("odd syndrome parity within a component")
+        parts.append((verts, sizes))
+    entries = sum(
+        comb(len(verts), j) for verts, sizes in parts for j in range(2, int(sizes.max(initial=0)) + 1, 2)
+    )
+    if _use_table(entries, len(bits)):
+        return _table_decode(p, x, bits, parts)
+    return _memo_decode(p, x, bits)
 
 
 DECODERS = {"greedy": greedy_decode_batch, "min-length": min_length_decode_batch}

@@ -17,7 +17,13 @@ owns its random stream: a drawn shell equals numpy 2.4.6's per-draw
 ``default_rng((seed, k, draw)).choice``, replayed in-package for all draws
 at once, so sampled profiles no longer depend on the installed numpy.
 Probability arithmetic is 64-bit float; binomial coefficients and shell
-sums are exact integers converted as late as possible.
+sums are exact integers converted as late as possible.  A shell sum is a
+Walsh-Hadamard coefficient of the shell's signed syndrome state (Jordan
+et al., arXiv:2408.08292): each D_k row's syndrome and target parity are
+packed once per shell, and the sum at an assignment counts the rows whose
+packed word, masked by the assignment, has odd popcount.  The Monte Carlo
+shells depend only on (m, l, samples, seed), so decoders sharing an
+instance share one draw of them.
 """
 from __future__ import annotations
 
@@ -36,7 +42,8 @@ from .errors import CapacityError, ValidationError
 POWER_ITERATION_CAP = 10**5
 _CHANGE_TOL = 1e-12
 _RESIDUAL_TOL = 1e-11
-ENUMERATION_BUDGET = 1 << 19  # even syndromes an exact profile may decode
+ENUMERATION_BUDGET = 1 << 20  # even syndromes an exact profile may decode
+_DENSITY_CHUNK = 1 << 16  # (assignment, D_k row) parities evaluated at once
 DEFAULT_SAMPLES = 2000
 
 
@@ -326,6 +333,29 @@ def sample_shell_error(m: int, k: int, seed: int, draws: int) -> np.ndarray:
     return draw_shell(m, k, seed, draws)
 
 
+def mc_shells(m: int, l: int, samples: int, seed: int) -> list[np.ndarray]:
+    """The errors a Monte Carlo profile scores, one (rows, k) position array per shell k <= l.
+
+    Shells with at most ``samples`` errors are enumerated exactly instead;
+    draws are independent, so an error can be sampled more than once.  Each
+    drawn shell is one ``sample_shell_error`` call, and its refusals are
+    checked for the heaviest drawn shell before any shell is drawn.  The
+    shells depend on (m, l, samples, seed) only, never on the decoder.
+    """
+    if samples < 1:
+        raise ValidationError("samples must be >= 1")
+    if not 0 <= l <= m:
+        raise ValidationError(f"degree l={l} out of range 0..{m}")
+    sizes = [comb(m, k) for k in range(l + 1)]
+    drawn = [k for k, size in enumerate(sizes) if size > samples]
+    if drawn:  # whatever refuses a drawn shell refuses the heaviest one
+        _check_draws(m, drawn[-1], seed, samples)
+    return [
+        sample_shell_error(m, k, seed, samples) if size > samples else _combinations(m, k)
+        for k, size in enumerate(sizes)
+    ]
+
+
 def failure_profile_mc(
     decoder: str,
     x: XorsatInstance,
@@ -333,33 +363,22 @@ def failure_profile_mc(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     paths: PathList | None = None,
+    shells: list[np.ndarray] | None = None,
 ) -> FailureProfile:
     """Monte Carlo failure rates: a fixed number of uniform errors per shell.
 
-    Shells with at most ``samples`` errors are enumerated exactly instead;
-    draws are independent, so an error can be sampled more than once.  Each
-    drawn shell is one ``sample_shell_error`` call, and its refusals are
-    checked for the heaviest drawn shell before any shell is drawn.
+    The errors are ``mc_shells(x.m, l, samples, seed)``, drawn here unless
+    ``shells`` passes that list in, already drawn.
     """
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    if not 0 <= l <= x.m:
-        raise ValidationError(f"degree l={l} out of range 0..{x.m}")
-    sizes = tuple(comb(x.m, k) for k in range(l + 1))
-    drawn = [k for k, size in enumerate(sizes) if size > samples]
-    if drawn:  # whatever refuses a drawn shell refuses the heaviest one
-        _check_draws(x.m, drawn[-1], seed, samples)
-    shells = [
-        sample_shell_error(x.m, k, seed, samples) if size > samples else _combinations(x.m, k)
-        for k, size in enumerate(sizes)
-    ]
+    if shells is None:
+        shells = mc_shells(x.m, l, samples, seed)
     return FailureProfile(
         mode="monte_carlo",
         decoder=decoder,
         m=x.m,
         l=l,
         eps=_failure_rates(_shell_successes(decoder, x, paths, shells)),
-        shell_sizes=sizes,
+        shell_sizes=tuple(comb(x.m, k) for k in range(l + 1)),
         samples_per_shell=samples,
         seed=seed,
     )
@@ -381,37 +400,67 @@ def normalization(weights: DickeWeights, profile: FailureProfile) -> float:
     )
 
 
-def p_exact(
-    x: XorsatInstance, assign, weights: DickeWeights, profile: FailureProfile
-) -> float:
-    """Exact measurement density of one assignment.
+def _signed_syndromes(x: XorsatInstance, decoded_sets) -> list[np.ndarray]:
+    """Per decoded set: each row's syndrome and target parity as (rows, words) uint64.
 
-    Per shell k the retained errors contribute the signed sum
+    Bit v of a row's words is variable v, as in ``_packed_incidence``, and
+    bit 0 its target parity.
+    """
+    packed = _packed_incidence(x)
+    rows = np.zeros((x.m, 8 * (x.n_vars // 64 + 1)), dtype=np.uint8)
+    rows[:, : packed.shape[1]] = packed
+    rows[:, 0] |= np.array(x.targets, dtype=np.uint8)
+    rows = rows.view("<u8")
+    return [np.bitwise_xor.reduce(rows[d_k], axis=1) for d_k in decoded_sets]
+
+
+def _densities(x: XorsatInstance, assigns, weights: DickeWeights, profile: FailureProfile) -> np.ndarray:
+    """Exact measurement density of each assignment, one row of ``assigns`` each.
+
+    Per shell k the retained errors y contribute the signed sum
     sum_{y in D_k} prod_{rows flipped by y} (+1 if the row is satisfied by
     the assignment else -1); the density is the weighted sum of squared
-    shell sums over the renormalization and the 2^n uniform factor.
+    shell sums over the renormalization and the 2^n uniform factor.  That
+    product is (-1)^(<y, targets> + <T(y), x>) for the syndrome T(y), the
+    parity of popcount(s & a) for y's signed syndrome s and the assignment
+    mask a with bit 0 set.  So a shell sum is an integer, |D_k| minus
+    twice its odd rows, counted for about ``_DENSITY_CHUNK`` (assignment,
+    row) pairs at a time.
     """
     if profile.mode != "exact" or profile.decoded_sets is None:
         raise ValidationError("exact density needs an exact profile with decoded sets")
     _check_weights_profile(weights, profile, x.m)
-    assign = tuple(int(b) for b in assign)
-    if len(assign) != x.n_vars:
-        raise ValidationError(f"assignment length {len(assign)} != n_vars = {x.n_vars}")
-    signs = np.array(
-        [
-            1.0 if (assign[a - 1] ^ assign[b - 1]) == v else -1.0
-            for (a, b), v in zip(x.rows, x.targets)
-        ]
-    )
-    r_norm = normalization(weights, profile)
-    total = 0.0
+    assigns = [tuple(int(b) for b in a) for a in assigns]
+    for a in assigns:
+        if len(a) != x.n_vars:
+            raise ValidationError(f"assignment length {len(a)} != n_vars = {x.n_vars}")
+    words = x.n_vars // 64 + 1
+    bits = np.zeros((len(assigns), 64 * words), dtype=np.uint8)
+    bits[:, 0] = 1
+    bits[:, 1 : x.n_vars + 1] = np.array(assigns, dtype=np.int64).reshape(len(assigns), x.n_vars) != 0
+    masks = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    inner = np.zeros((len(assigns), len(weights.w)), dtype=np.int64)
+    for k, syn in enumerate(_signed_syndromes(x, profile.decoded_sets[: len(weights.w)])):
+        step = max(1, _DENSITY_CHUNK // max(len(syn), 1))
+        for lo in range(0, len(assigns), step):
+            chunk = masks[lo : lo + step]
+            folded = syn[:, 0] & chunk[:, :1]
+            for w in range(1, words):
+                folded ^= syn[:, w] & chunk[:, w : w + 1]
+            odd = np.count_nonzero(np.bitwise_count(folded) & 1, axis=1)
+            inner[lo : lo + step, k] = len(syn) - 2 * odd
+    total = np.zeros(len(assigns))
     for k, wk in enumerate(weights.w):
-        d_k = profile.decoded_sets[k]
-        # rows of d_k index the flipped constraints; an empty row (k = 0)
-        # has an empty product, i.e. contributes +1
-        inner = float(np.prod(signs[d_k], axis=1).sum())
-        total += wk * wk * inner * inner / profile.shell_sizes[k]
-    return total / (r_norm * 2.0**x.n_vars)
+        shell = inner[:, k].astype(np.float64)
+        total += wk * wk * shell * shell / float(profile.shell_sizes[k])
+    return total / (normalization(weights, profile) * 2.0**x.n_vars)
+
+
+def p_exact(
+    x: XorsatInstance, assign, weights: DickeWeights, profile: FailureProfile
+) -> float:
+    """Exact measurement density of one assignment: ``_densities`` of a batch of one."""
+    return float(_densities(x, [assign], weights, profile)[0])
 
 
 def p_approx(
@@ -480,12 +529,12 @@ def p_opt_exact(
     """Sum the exact density over the optimal assignments.
 
     The density is generally not constant across optima (failures break the
-    symmetry), so the sum is evaluated per element.
+    symmetry), so it is evaluated per optimum, all in one ``_densities`` batch.
     """
     s_opt_assignments = list(s_opt_assignments)
     if not s_opt_assignments:
         raise ValidationError("the set of optimal assignments must be nonempty")
-    p_opt = sum(p_exact(x, assign, weights, profile) for assign in s_opt_assignments)
+    p_opt = sum(_densities(x, s_opt_assignments, weights, profile).tolist())
     return _estimate(p_opt, c_dqi, weights.l, normalization(weights, profile))
 
 

@@ -390,12 +390,12 @@ def _min_weight_pairing(verts: tuple[int, ...], dist) -> tuple[tuple[int, int], 
     return solve((1 << len(verts)) - 1)[1]
 
 
-def min_length_decode_pairs(p: PathList, x: XorsatInstance, y) -> DecodeOutcome:
-    """Pair each component's syndrome vertices by ``_min_weight_pairing`` and
-    flip the stored path of every pair."""
-    y = tuple(int(b) for b in y)
+def min_length_join(p: PathList, x: XorsatInstance, t) -> tuple[int, ...]:
+    """The min-length decoder's error for syndrome bits ``t``: each component's
+    vertices of T paired by ``_min_weight_pairing``, flipping the stored path
+    of every pair."""
     groups: dict[int, list[int]] = {}
-    for v, bit in enumerate(syndrome(x, y), start=1):
+    for v, bit in enumerate(t, start=1):
         if bit:
             groups.setdefault(p.component[v], []).append(v)
     decoded = [0] * x.m
@@ -405,9 +405,16 @@ def min_length_decode_pairs(p: PathList, x: XorsatInstance, y) -> DecodeOutcome:
         for a, b in _min_weight_pairing(tuple(verts), path_lengths(p)):
             for eid in p.entries[p.index[(a, b)]].edges:
                 decoded[eid - 1] ^= 1
+    return tuple(decoded)
+
+
+def min_length_decode_pairs(p: PathList, x: XorsatInstance, y) -> DecodeOutcome:
+    """Decode one error through ``min_length_join`` of its syndrome."""
+    y = tuple(int(b) for b in y)
+    decoded = min_length_join(p, x, syndrome(x, y))
     residual = tuple(a ^ b for a, b in zip(y, decoded))
     return DecodeOutcome(
-        decoded_residual=residual, success=not any(residual), decoded_error=tuple(decoded)
+        decoded_residual=residual, success=not any(residual), decoded_error=decoded
     )
 
 
@@ -550,6 +557,39 @@ def failure_profile_mc_loop(
     )
 
 
+def p_exact_rowproduct(
+    x: XorsatInstance, assign, weights: DickeWeights, profile: FailureProfile
+) -> float:
+    """Exact measurement density of one assignment, one row product per D_k row.
+
+    Per shell k the retained errors contribute the signed sum
+    sum_{y in D_k} prod_{rows flipped by y} (+1 if the row is satisfied by
+    the assignment else -1); the density is the weighted sum of squared
+    shell sums over the renormalization and the 2^n uniform factor.
+    """
+    if profile.mode != "exact" or profile.decoded_sets is None:
+        raise ValidationError("exact density needs an exact profile with decoded sets")
+    _check_weights_profile(weights, profile, x.m)
+    assign = tuple(int(b) for b in assign)
+    if len(assign) != x.n_vars:
+        raise ValidationError(f"assignment length {len(assign)} != n_vars = {x.n_vars}")
+    signs = np.array(
+        [
+            1.0 if (assign[a - 1] ^ assign[b - 1]) == v else -1.0
+            for (a, b), v in zip(x.rows, x.targets)
+        ]
+    )
+    r_norm = normalization(weights, profile)
+    total = 0.0
+    for k, wk in enumerate(weights.w):
+        d_k = profile.decoded_sets[k]
+        # rows of d_k index the flipped constraints; an empty row (k = 0)
+        # has an empty product, i.e. contributes +1
+        inner = float(np.prod(signs[d_k], axis=1).sum())
+        total += wk * wk * inner * inner / profile.shell_sizes[k]
+    return total / (r_norm * 2.0**x.n_vars)
+
+
 def amplitude_oracle(
     x: XorsatInstance, weights: DickeWeights, profile: FailureProfile
 ) -> np.ndarray:
@@ -559,8 +599,9 @@ def amplitude_oracle(
     (-1)^{targets . y} at basis index syndrome(y)) and pushed through a
     fast Walsh-Hadamard transform; per-shell contributions combine in
     quadrature, matching the per-shell-squared density.  Independent of
-    p_exact's satisfied-row bookkeeping, this is the oracle used to verify
-    it: squared magnitudes must match the density pointwise.
+    the row products of ``p_exact_rowproduct`` and the parity counts of
+    ``p_exact``, this is the oracle used to verify them: squared magnitudes
+    must match the density pointwise.
     """
     if profile.mode != "exact" or profile.decoded_sets is None:
         raise ValidationError("amplitude oracle needs an exact profile with decoded sets")

@@ -21,7 +21,7 @@ from dqi_bench import (
     sweep_degree,
     validate_approximation,
 )
-from dqi_bench import bench
+from dqi_bench import bench, dqi
 from dqi_bench.bench import aggregate_rows, write_aggregate_csv, write_report_csv
 from oracles import (
     enumerate_optima_scan,
@@ -264,6 +264,33 @@ def test_compare_decoders_searches_once(monkeypatch, ex1):
 
 
 @pytest.fixture()
+def draw_calls(monkeypatch):
+    calls = []
+    draw = dqi.sample_shell_error
+
+    def counting(m, k, seed, draws):
+        calls.append((m, k, seed, draws))
+        return draw(m, k, seed, draws)
+
+    monkeypatch.setattr(dqi, "sample_shell_error", counting)
+    return calls
+
+
+def test_compare_decoders_draws_each_shell_once(draw_calls):
+    # 45 rows at degree 9: shells 3..9 hold more than 2000 errors, 0..2 are enumerated
+    rows = compare_decoders(generate_instance(24, 1), samples=2000)
+    assert (rows[0]["m"], rows[0]["l"]) == (45, 9)
+    assert [k for _, k, _, _ in draw_calls] == list(range(3, 10))
+
+
+def test_sweep_both_decoders_draw_each_shell_once(draw_calls):
+    inst = generate_instance(8, 3)
+    bench._sweeps(inst, bench.DECODER_NAMES, "mc", None, 20, 1)
+    assert draw_calls and len(draw_calls) == len(set(draw_calls))
+    assert [k for _, k, _, _ in draw_calls] == sorted(k for _, k, _, _ in draw_calls)
+
+
+@pytest.fixture()
 def no_profiles_or_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("ran before the capacity check")
@@ -287,11 +314,11 @@ def no_profiles_or_search(monkeypatch):
         (lambda: run_pipeline(generate_instance(40, 0), mode="exact"), "syndromes"),
         (lambda: compare_decoders(generate_instance(40, 0)), "syndromes"),
         (lambda: sweep_degree(generate_instance(40, 0), profile_source="exact"), "syndromes"),
-        (lambda: run_pipeline(generate_instance(21, 0), mode="exact"), "syndromes"),
+        (lambda: run_pipeline(generate_instance(22, 0), mode="exact"), "syndromes"),
     ],
     ids=[
         "approx-100-cars", "sweep-100-cars", "non-icc-approx-100-cars",
-        "exact-40-cars", "compare-exact-40-cars", "sweep-exact-40-cars", "exact-21-cars",
+        "exact-40-cars", "compare-exact-40-cars", "sweep-exact-40-cars", "exact-22-cars",
     ],
 )
 def test_capacity_refused_before_profile_or_search(no_profiles_or_search, call, match):

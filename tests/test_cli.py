@@ -251,7 +251,7 @@ def test_decode_stats_exact_over_budget_exits_3(tmp_path, capsys):
     system = tmp_path / "xs.json"
     write_xorsat(reduce_instance(encode_icc(inst), inst)[0], system)
     assert main(["decode-stats", "-i", str(system), "--mode", "exact"]) == 3
-    assert "syndromes (> budget 524288)" in capsys.readouterr().err
+    assert f"syndromes (> budget {dqi.ENUMERATION_BUDGET})" in capsys.readouterr().err
     code, summary = run_cli(capsys, "decode-stats", "-i", str(system), "--mode", "exact", "--l", "2")
     assert code == 0 and len(summary["eps"]) == 3
 

@@ -14,8 +14,10 @@ from dqi_bench import (
     build_graph,
     build_path_list,
     code_distance,
+    default_degree,
     emit_circuit,
     encode_icc,
+    failure_profile_exact,
     gate_cost,
     generate_instance,
     greedy_decode,
@@ -27,11 +29,13 @@ from dqi_bench import (
 )
 from dqi_bench import decoder
 from dqi_bench.decoder import DECODERS
+from dqi_bench.dqi import _even_syndromes
 from oracles import (
     bfs_distance,
     graph_adjacency,
     matchings_bruteforce,
     min_length_decode_pairs,
+    min_length_join,
     parity_systems,
     path_lengths,
     simulate_circuit_gates,
@@ -225,11 +229,48 @@ def test_weight_one_failures_match(ex1_paths, ex1_reduced):
     assert fails[greedy_decode] == fails[min_length_decode] == [(0, 0, 0, 0, 1)]
 
 
+# the two min-length paths: the pairing table, and the memoized recursion
+MIN_LENGTH_PATHS = (True, False)
+
+
 def test_min_length_capacity_error(monkeypatch, ex1_paths, ex1_reduced):
     # e1 + e3 touch four distinct vertices
     monkeypatch.setattr(decoder, "_T_CAP", 2)
+    for table in MIN_LENGTH_PATHS:
+        monkeypatch.setattr(decoder, "_use_table", lambda entries, rows: table)
+        with pytest.raises(CapacityError):
+            min_length_decode(ex1_paths, ex1_reduced[0], (1, 0, 1, 0, 0))
+
+
+def test_min_length_refuses_before_any_pairing(monkeypatch, ex1_paths, ex1_reduced):
+    # the offending syndrome comes last, yet no row is paired before the refusal
+    x = ex1_reduced[0]
+    syn = np.array([[1, 1, 0, 0], [1, 1, 1, 1]], dtype=np.uint8)
+    for name in ("_table_decode", "_memo_decode"):
+        monkeypatch.setattr(decoder, name, lambda *args: pytest.fail("paired before the check"))
+    monkeypatch.setattr(decoder, "_T_CAP", 2)
     with pytest.raises(CapacityError):
-        min_length_decode(ex1_paths, ex1_reduced[0], (1, 0, 1, 0, 0))
+        DECODERS["min-length"](ex1_paths, x, syn)
+    monkeypatch.setattr(decoder, "_T_CAP", 22)
+    with pytest.raises(ValidationError, match="odd syndrome parity"):
+        DECODERS["min-length"](ex1_paths, x, np.array([[1, 1, 0, 0], [1, 0, 0, 0]], dtype=np.uint8))
+
+
+def test_min_length_odd_parity_error(monkeypatch):
+    # two components: {1, 2} and {3, 4}; T = {1, 3} is even overall but odd in each
+    x = XorsatInstance(n_vars=4, rows=((1, 2), (3, 4)), targets=(0, 0))
+    p = build_path_list(build_graph(x))
+    for table in MIN_LENGTH_PATHS:
+        monkeypatch.setattr(decoder, "_use_table", lambda entries, rows: table)
+        with pytest.raises(ValidationError, match="odd syndrome parity"):
+            DECODERS["min-length"](p, x, np.array([[1, 0, 1, 0]], dtype=np.uint8))
+
+
+def test_exact_batches_take_the_table(monkeypatch):
+    # an exact profile's batch always fits the table rule
+    x = reduced_system(generate_instance(8, 3))
+    monkeypatch.setattr(decoder, "_memo_decode", lambda *args: pytest.fail("took the recursion"))
+    failure_profile_exact("min-length", x, default_degree(x.n_vars, x.m))
 
 
 @settings(max_examples=25, deadline=None)
@@ -320,20 +361,40 @@ def test_min_length_batch_matches_pairing_oracle(x, masks):
         assert row == want
 
 
-def test_min_length_batch_leaves_no_garbage():
-    # the shared memo must die with the call, not wait in a reference cycle
+def test_min_length_batch_leaves_no_garbage(monkeypatch):
+    # the shared memo and the table must die with the call, not wait in a reference cycle
     inst = generate_instance(8, 3)
     x = reduced_system(inst)
     p = build_path_list(build_graph(x))
     syn = np.array([syndrome(x, y) for y in weight_k_errors(x.m, 2)], dtype=np.uint8)
-    gc.collect()
-    gc.disable()
-    try:
-        DECODERS["min-length"](p, x, syn)
-        unreachable = gc.collect()
-    finally:
-        gc.enable()
-    assert unreachable == 0
+    for table in MIN_LENGTH_PATHS:
+        monkeypatch.setattr(decoder, "_use_table", lambda entries, rows: table)
+        gc.collect()
+        gc.disable()
+        try:
+            DECODERS["min-length"](p, x, syn)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(parity_systems())
+# T = {1, 2, 3, 4} on a square, where {1-2, 3-4} and {1-4, 2-3} tie
+@example(SQUARE)
+def test_min_length_paths_match_on_every_even_syndrome(x):
+    g = build_graph(x)
+    p = build_path_list(g)
+    packed = _even_syndromes(g.component, x.n_vars)
+    syn = np.unpackbits(packed, axis=1, count=x.n_vars + 1, bitorder="little")[:, 1:]
+    want = np.array([min_length_join(p, x, t) for t in syn.tolist()], dtype=np.uint8)
+    want = want.reshape(len(syn), x.m)
+    for table in MIN_LENGTH_PATHS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decoder, "_use_table", lambda entries, rows: table)
+            got = DECODERS["min-length"](p, x, syn)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------- circuit

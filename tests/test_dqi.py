@@ -33,6 +33,7 @@ from oracles import (
     amplitude_oracle,
     failure_profile_exact_loop,
     failure_profile_mc_loop,
+    p_exact_rowproduct,
     parity_systems,
     shell_sum_bruteforce,
 )
@@ -250,6 +251,19 @@ def test_profiles_past_int16_positions():
     assert mc.eps == failure_profile_mc_loop("greedy", x, 2, samples=5, seed=1).eps
 
 
+def test_profiles_and_densities_past_one_word():
+    # 70 variables and 80 rows: syndromes, errors and assignments span two uint64 words
+    rows = tuple((v, v + 1) for v in range(1, 70)) + tuple((v, v + 60) for v in range(1, 11)) + ((3, 69),)
+    x = XorsatInstance(n_vars=70, rows=rows, targets=tuple(v % 2 for v in range(len(rows))))
+    weights = dicke_weights(x.m, 1)
+    assigns = [tuple((v * 7 + s) % 3 % 2 for v in range(70)) for s in range(3)]
+    for decoder in ("greedy", "min-length"):
+        exact = failure_profile_exact(decoder, x, 1)
+        assert_same_exact(exact, failure_profile_exact_loop(decoder, x, 1))
+        want = sum(p_exact_rowproduct(x, a, weights, exact) for a in assigns)
+        assert p_opt_exact(x, assigns, weights, exact, c_dqi=1.0).p_opt == want
+
+
 def test_profile_counts_only_exact_decodes(monkeypatch, ex1_reduced):
     # a decoder answering every nonzero syndrome with all rows covers each
     # weight-1 error's position, yet returns a different error
@@ -393,8 +407,48 @@ def test_p_opt_zero_flags_infinite_cost(ex1_reduced):
         decoded_sets=(np.empty((0, 0), dtype=np.int64),),
     )
     est = p_opt_exact(x, [(0, 0, 0, 0)], dicke_weights(x.m, 0), empty, c_dqi=8.0)
-    assert est.p_opt == 0.0
+    assert est.p_opt == 0.0 == p_exact_rowproduct(x, (0, 0, 0, 0), dicke_weights(x.m, 0), empty)
     assert isinf(est.c_opt) and isinf(est.c_total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parity_systems(), st.integers(0, 3), st.data())
+def test_p_opt_matches_row_product_oracle(x, l, data):
+    # the parity-count densities reproduce the row products bit for bit
+    if x.m == 0:
+        return
+    l = min(l, x.m)
+    weights = dicke_weights(x.m, l)
+    assigns = data.draw(
+        st.lists(st.lists(st.integers(0, 1), min_size=x.n_vars, max_size=x.n_vars), min_size=1, max_size=6)
+    )
+    for decoder in ("greedy", "min-length"):
+        prof = failure_profile_exact(decoder, x, l)
+        want = sum(p_exact_rowproduct(x, a, weights, prof) for a in assigns)
+        assert p_opt_exact(x, assigns, weights, prof, c_dqi=1.0).p_opt == want
+        assert p_exact(x, assigns[0], weights, prof) == p_exact_rowproduct(x, assigns[0], weights, prof)
+
+
+def test_p_opt_matches_row_product_oracle_on_empty_sets(ex1_reduced):
+    x = ex1_reduced[0]
+    empty = FailureProfile(
+        mode="exact", decoder="greedy", m=x.m, l=1, eps=(0.0, 1.0), shell_sizes=(1, x.m),
+        decoded_sets=(np.empty((1, 0), dtype=np.int64), np.empty((0, 1), dtype=np.int64)),
+    )
+    weights = dicke_weights(x.m, 1)
+    assigns = [(0, 1, 1, 1), (1, 0, 0, 0), (0, 0, 0, 0)]
+    want = sum(p_exact_rowproduct(x, a, weights, empty) for a in assigns)
+    assert p_opt_exact(x, assigns, weights, empty, c_dqi=1.0).p_opt == want
+
+
+def test_densities_reject_wrong_assignment_length(ex1_reduced):
+    x = ex1_reduced[0]
+    prof = failure_profile_exact("greedy", x, 1)
+    dw = dicke_weights(x.m, 1)
+    with pytest.raises(ValidationError, match="assignment length 3"):
+        p_exact(x, (0, 1, 1), dw, prof)
+    with pytest.raises(ValidationError, match="assignment length 5"):
+        p_opt_exact(x, [(0, 1, 1, 1), (0, 1, 1, 1, 0)], dw, prof, c_dqi=1.0)
 
 
 def test_p_opt_rejects_empty_optima(ex1_reduced):
