@@ -28,6 +28,7 @@ from .dqi import (
     check_exact_budget,
     default_degree,
     dicke_weights,
+    exact_syndromes,
     failure_profile_exact,
     failure_profile_mc,
     mc_shells,
@@ -215,7 +216,8 @@ class _Instance:
     an exact profile over its syndrome budget.  The path list, the optimum
     search and the Dicke weights run on first use and only once, and so do
     the Monte Carlo shells of each (degree, samples, seed), which every
-    decoder scores.
+    decoder scores, and the even-syndrome batch of each exact degree, which
+    every decoder decodes.
     """
 
     def __init__(self, inst: BpspInstance, encoding: str, reduce: bool):
@@ -225,6 +227,7 @@ class _Instance:
         self.order = _elimination_order(self.x.n_vars, _pair_scores(self.x))
         self._weights: dict[int, DickeWeights] = {}
         self._shells: dict[tuple[int, int, int], list[np.ndarray]] = {}
+        self._syndromes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property
     def paths(self) -> PathList:
@@ -241,7 +244,11 @@ class _Instance:
 
     def profile(self, decoder: str, exact: bool, l: int, samples: int, seed: int):
         if exact:
-            return failure_profile_exact(decoder, self.x, l, paths=self.paths)
+            if l not in self._syndromes:
+                self._syndromes[l] = exact_syndromes(self.x, l)
+            return failure_profile_exact(
+                decoder, self.x, l, paths=self.paths, syndromes=self._syndromes[l]
+            )
         if (l, samples, seed) not in self._shells:
             self._shells[l, samples, seed] = mc_shells(self.x.m, l, samples, seed)
         return failure_profile_mc(

@@ -11,7 +11,11 @@ Everything here is classical, and densities are evaluated in closed form.
 Both decoders see only an error's syndrome, so the exact profile decodes
 once every syndrome an error of weight <= l can have (an even number of
 vertices per component, at most 2l in all) and reads D_k off the decoded
-errors; the Monte Carlo profile samples errors and decodes each distinct
+errors, packed into uint64 words: weights are popcounts, each error's own
+syndrome is checked against T on packed words, and positions come off the
+set bits, already sorted.  That syndrome batch depends only on the
+instance and l, so decoders sharing an instance share one build of it.
+The Monte Carlo profile samples errors and decodes each distinct
 syndrome among them once.  Each profile is one decoder batch.  The sampler
 owns its random stream: a drawn shell equals numpy 2.4.6's per-draw
 ``default_rng((seed, k, draw)).choice``, replayed in-package for all draws
@@ -169,6 +173,14 @@ def _packed_incidence(x: XorsatInstance) -> np.ndarray:
     return np.packbits(incidence, axis=1, bitorder="little")
 
 
+def _incidence_words(x: XorsatInstance) -> np.ndarray:
+    """``_packed_incidence`` padded to (m, n_vars // 64 + 1) uint64 words."""
+    packed = _packed_incidence(x)
+    rows = np.zeros((x.m, 8 * (x.n_vars // 64 + 1)), dtype=np.uint8)
+    rows[:, : packed.shape[1]] = packed
+    return rows.view("<u8")
+
+
 def _shell_successes(
     decoder: str, x: XorsatInstance, paths: PathList | None, shells: list[np.ndarray]
 ) -> list[np.ndarray]:
@@ -222,14 +234,14 @@ def _even_syndromes(component: dict[int, int], max_support: int) -> np.ndarray:
     """Every syndrome even in each component with at most ``max_support`` vertices.
 
     ``component`` labels each vertex's component, and rows are packed as in
-    ``_packed_incidence``.  Every vertex of a component but its last is a
-    free bit, set only while the syndrome stays within ``max_support``; the
-    last vertex takes the component's parity.
+    ``_packed_incidence``, padded to whole uint64 words.  Every vertex of a
+    component but its last is a free bit, set only while the syndrome stays
+    within ``max_support``; the last vertex takes the component's parity.
     """
     comps: dict[int, list[int]] = {}
     for v, label in sorted(component.items()):
         comps.setdefault(label, []).append(v - 1)
-    rows = np.zeros((1, len(component) // 8 + 1), dtype=np.uint8)
+    rows = np.zeros((1, 8 * (len(component) // 64 + 1)), dtype=np.uint8)
     size = np.zeros(1, dtype=np.intp)
     for verts in comps.values():
         odd = np.zeros(len(rows), dtype=bool)
@@ -248,11 +260,101 @@ def _even_syndromes(component: dict[int, int], max_support: int) -> np.ndarray:
     return rows
 
 
+def exact_syndromes(x: XorsatInstance, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The syndromes an exact degree-l profile decodes, in one batch.
+
+    Returns them packed, as (rows, n_vars // 64 + 1) uint64 words laid out
+    like ``_incidence_words``, and unpacked, as the (rows, n_vars) 0/1
+    array a decoder takes.  The batch depends only on the instance and the
+    degree, so every decoder of an instance can share it; its budget is
+    checked before it is built.
+    """
+    check_exact_budget(x, l)
+    packed = _even_syndromes(build_graph(x).component, 2 * l)
+    bits = np.unpackbits(packed, axis=1, count=x.n_vars + 1, bitorder="little")[:, 1:]
+    return packed.view("<u8"), bits
+
+
+def _error_words(decoded: np.ndarray) -> np.ndarray:
+    """A (batch, m) 0/1 array of errors as (batch, ceil(m / 64)) uint64 words.
+
+    Position j is bit j % 64 of word j // 64.
+    """
+    batch, m = decoded.shape
+    words = -(-m // 64)
+    bits = np.zeros((batch, 64 * words), dtype=np.uint8)
+    bits[:, :m] = decoded
+    return np.packbits(bits, axis=None, bitorder="little").view("<u8").reshape(batch, words)
+
+
+def _own_syndromes(x: XorsatInstance, err: np.ndarray) -> np.ndarray:
+    """The syndrome of each packed error, as words laid out like ``_incidence_words``.
+
+    A table holds, for every byte position of an error and every value of
+    that byte, the XOR of the incidences of the rows it sets; an error's
+    syndrome is the XOR of one table entry per byte.  The table takes
+    256 bytes per row and syndrome word.
+    """
+    incidence = _incidence_words(x)
+    span = -(-x.m // 8)
+    rows = np.zeros((8 * span, incidence.shape[1]), dtype=np.uint64)
+    rows[: x.m] = incidence
+    table = np.zeros((span, 1, incidence.shape[1]), dtype=np.uint64)
+    for bit in range(8):  # the entries with this bit set add row 8 * byte + bit
+        table = np.concatenate([table, table ^ rows[bit::8, None]], axis=1)
+    by = err.view(np.uint8)
+    own = np.zeros((len(err), incidence.shape[1]), dtype=np.uint64)
+    for b in range(span):
+        own ^= table[b, by[:, b]]
+    return own
+
+
+def _lex_order(err: np.ndarray, weight: np.ndarray, m: int) -> np.ndarray:
+    """The order that sorts packed errors by weight, then by positions, lexicographically.
+
+    The first position where two errors of equal weight differ is the lowest
+    bit of their XOR, and the error holding it comes first.  So with the
+    bits of each byte reversed and complemented, the bytes of an error,
+    byte 0 most significant, sort in that order.  Byte keys sort by radix.
+    """
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    flip = ~np.packbits(bits, axis=1, bitorder="little").ravel()
+    keys = np.take(flip, err.view(np.uint8))[:, : -(-m // 8)]
+    return np.lexsort([*keys.T[::-1], weight])
+
+
+def _positions(err: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
+    """Read positions off packed errors sorted by weight: rows bounds[k]:bounds[k+1] have weight k.
+
+    Returns one (rows, k) int64 array per weight k, positions ascending in
+    each row.  Step s takes, in every row of weight > s, the lowest set bit
+    (popcount(low - 1) plus 64 per word before it, from the first word with
+    a bit left) and clears it.
+    """
+    words = err.T.copy()
+    offset = 64 * np.arange(len(words))[:, None]
+    sets = [
+        np.empty((bounds[k + 1] - bounds[k], k), dtype=np.int64) for k in range(len(bounds) - 1)
+    ]
+    for step in range(len(sets) - 1):
+        lo = bounds[step + 1]
+        left = words[:, lo:]
+        low = left & -left
+        # an empty word ranks after every set bit of the row
+        at = np.where(low != 0, np.bitwise_count(low - np.uint64(1)) + offset, 64 * len(words))
+        first = at.min(axis=0)
+        left ^= low * (at == first)
+        for k in range(step + 1, len(sets)):
+            sets[k][:, step] = first[bounds[k] - lo : bounds[k + 1] - lo]
+    return sets
+
+
 def failure_profile_exact(
     decoder: str,
     x: XorsatInstance,
     l: int,
     paths: PathList | None = None,
+    syndromes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FailureProfile:
     """Exact failure rates and correctly decoded sets D_k for every weight k <= l.
 
@@ -260,35 +362,37 @@ def failure_profile_exact(
     errors dec(T) of weight k whose own syndrome is T.  Each syndrome with
     an even number of vertices per component is decoded once, in one batch;
     only |T| <= 2l can matter, since a T-join has at least |T|/2 edges.
-    D_k holds 0-based positions, rows in lexicographic order, and
-    eps_k = (C(m, k) - |D_k|) / C(m, k).  Raises CapacityError when that
-    means more than ``ENUMERATION_BUDGET`` syndromes (at most 2^(n-c) for n
-    variables in c components); Monte Carlo mode is the fallback at that
-    point.
+    That batch is ``exact_syndromes(x, l)``, built here unless ``syndromes``
+    passes it in, already built.  Each decoded error is packed into uint64
+    words once; its weight is a popcount, its syndrome is checked against T
+    on packed words, and the positions of the errors kept are read off
+    their set bits.  D_k holds 0-based int64 positions, rows in
+    lexicographic order, and eps_k = (C(m, k) - |D_k|) / C(m, k).  Raises
+    CapacityError when that means more than ``ENUMERATION_BUDGET``
+    syndromes (at most 2^(n-c) for n variables in c components); Monte
+    Carlo mode is the fallback at that point.
     """
     if not 0 <= l <= x.m:
         raise ValidationError(f"degree l={l} out of range 0..{x.m}")
     if decoder not in DECODERS:
         raise ValidationError(f"unknown decoder {decoder!r}")
     check_exact_budget(x, l)
-    graph = build_graph(x)
     if paths is None:
-        paths = build_path_list(graph)
-    syndromes = _even_syndromes(graph.component, 2 * l)
-    bits = np.unpackbits(syndromes, axis=1, count=x.n_vars + 1, bitorder="little")[:, 1:]
-    decoded = DECODERS[decoder](paths, x, bits)
-    weight = decoded.sum(axis=1)
-    packed = _packed_incidence(x)
+        paths = build_path_list(build_graph(x))
+    if syndromes is None:
+        syndromes = exact_syndromes(x, l)
+    packed, bits = syndromes
+    err = _error_words(DECODERS[decoder](paths, x, bits))
+    weight = np.bitwise_count(err).sum(axis=1, dtype=np.intp)
+    keep = np.flatnonzero(weight <= l)
+    err, weight = err[keep], weight[keep].astype(np.min_scalar_type(l))
+    ok = (_own_syndromes(x, err) == packed[keep]).all(axis=1)
+    err, weight = err[ok], weight[ok]
+    order = _lex_order(err, weight, x.m)
+    err, weight = err[order], weight[order]
+    bounds = np.searchsorted(weight, np.arange(l + 2))
     sizes = tuple(comb(x.m, k) for k in range(l + 1))
-    decoded_sets = []
-    for k in range(l + 1):
-        hit = np.flatnonzero(weight == k)
-        pos = np.nonzero(decoded[hit])[1].reshape(len(hit), k)
-        own = np.bitwise_xor.reduce(packed[pos], axis=1)
-        pos = pos[(own == syndromes[hit]).all(axis=1)].astype(np.int64)
-        if k:
-            pos = pos[np.lexsort(pos.T[::-1])]
-        decoded_sets.append(pos)
+    decoded_sets = _positions(err, bounds)
     return FailureProfile(
         mode="exact",
         decoder=decoder,
@@ -406,11 +510,8 @@ def _signed_syndromes(x: XorsatInstance, decoded_sets) -> list[np.ndarray]:
     Bit v of a row's words is variable v, as in ``_packed_incidence``, and
     bit 0 its target parity.
     """
-    packed = _packed_incidence(x)
-    rows = np.zeros((x.m, 8 * (x.n_vars // 64 + 1)), dtype=np.uint8)
-    rows[:, : packed.shape[1]] = packed
-    rows[:, 0] |= np.array(x.targets, dtype=np.uint8)
-    rows = rows.view("<u8")
+    rows = _incidence_words(x)
+    rows[:, 0] |= np.array(x.targets, dtype=np.uint64)
     return [np.bitwise_xor.reduce(rows[d_k], axis=1) for d_k in decoded_sets]
 
 

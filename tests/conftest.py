@@ -9,6 +9,7 @@ from dqi_bench import (
     BpspInstance,
     build_graph,
     build_path_list,
+    dqi,
     encode_icc,
     reduce_instance,
 )
@@ -41,3 +42,17 @@ def ex1_graph(ex1_reduced):
 @pytest.fixture(scope="session")
 def ex1_paths(ex1_graph):
     return build_path_list(ex1_graph)
+
+
+@pytest.fixture()
+def syndrome_batches(monkeypatch):
+    """The max_support of every even-syndrome batch built while the test runs."""
+    calls = []
+    build = dqi._even_syndromes
+
+    def counting(component, max_support):
+        calls.append(max_support)
+        return build(component, max_support)
+
+    monkeypatch.setattr(dqi, "_even_syndromes", counting)
+    return calls

@@ -290,6 +290,14 @@ def test_sweep_both_decoders_draw_each_shell_once(draw_calls):
     assert [k for _, k, _, _ in draw_calls] == sorted(k for _, k, _, _ in draw_calls)
 
 
+def test_compare_decoders_builds_one_syndrome_batch(syndrome_batches):
+    rows = compare_decoders(generate_instance(8, 3))
+    assert [(row["decoder"], row["mode"]) for row in rows] == [
+        ("greedy", "exact"), ("min-length", "exact"),
+    ]
+    assert syndrome_batches == [2 * rows[0]["l"]]
+
+
 @pytest.fixture()
 def no_profiles_or_search(monkeypatch):
     def refuse(*args, **kwargs):

@@ -184,6 +184,15 @@ def test_sweep_both_shares_one_stage(monkeypatch, tmp_path, capsys, ex1_file):
     assert sorted(calls) == ["build_path_list", "enumerate_optima"]
 
 
+def test_sweep_both_exact_builds_one_syndrome_batch(syndrome_batches, tmp_path, capsys, ex1_file):
+    out = tmp_path / "sweep.csv"
+    code, summary = run_cli(
+        capsys, "sweep", "-i", ex1_file, "--decoder", "both", "--profile", "exact", "-o", str(out),
+    )
+    assert code == 0 and sorted(summary["l_star"]) == ["greedy", "min-length"]
+    assert syndrome_batches == [2 * 4]  # one batch, at the largest degree min(n, m) = 4
+
+
 def test_validate_approx(tmp_path, capsys):
     out = tmp_path / "va.csv"
     agg = tmp_path / "agg.csv"

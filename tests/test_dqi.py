@@ -1,4 +1,5 @@
-from itertools import product
+from dataclasses import replace
+from itertools import combinations, product
 from math import comb, isinf, sqrt
 
 import numpy as np
@@ -26,6 +27,7 @@ from dqi_bench import (
     reduce_instance,
     satisfied_count,
     shell_sum_A,
+    syndrome,
 )
 from dqi_bench import dqi
 from dqi_bench.dqi import sample_shell_error
@@ -264,6 +266,51 @@ def test_profiles_and_densities_past_one_word():
         assert p_opt_exact(x, assigns, weights, exact, c_dqi=1.0).p_opt == want
 
 
+def boundary_system(n_vars, m):
+    # components of up to 8 variables (at least 5), each a path; chords within
+    # them come first, so the paths' last rows sit past the errors' word boundaries
+    comps = [range(lo, min(lo + 8, n_vars + 1)) for lo in range(1, n_vars + 1, 8)]
+    path = [(v, v + 1) for c in comps for v in c[:-1]]
+    chords = []
+    for j in range(m - len(path)):
+        c, t = comps[j % len(comps)], j // len(comps)
+        a = c[0] + t % (len(c) - 4)
+        chords.append((a, a + 3 + t // (len(c) - 4) % 2))
+    rows = tuple(chords + path)
+    return XorsatInstance(n_vars=n_vars, rows=rows, targets=tuple(j % 2 for j in range(m)))
+
+
+@pytest.mark.parametrize("n_vars, m", [(62, 63), (63, 64), (64, 65), (63, 128), (64, 129)])
+def test_profiles_across_word_boundaries(n_vars, m):
+    # errors of 63, 64, 65, 128 and 129 rows; syndromes of 62, 63 and 64 variables
+    x = boundary_system(n_vars, m)
+    for decoder in ("greedy", "min-length"):
+        want = failure_profile_exact_loop(decoder, x, 2)
+        for l in (1, 2):
+            exact = failure_profile_exact(decoder, x, l)
+            assert_same_exact(exact, replace(
+                want, l=l, eps=want.eps[: l + 1], shell_sizes=want.shell_sizes[: l + 1],
+                decoded_sets=want.decoded_sets[: l + 1],
+            ))
+        if m == 65:
+            # rows 63 and 64 are the path's last two edges, 62-63 and 63-64
+            assert [63, 64] in exact.decoded_sets[2].tolist()
+
+
+def brute_force_sets(decode, x, l):
+    """Per weight k <= l, the weight-k errors a batch decoder returns unchanged, in lexicographic order."""
+    paths = build_path_list(build_graph(x))
+    sets = []
+    for k in range(l + 1):
+        errors = np.array(list(combinations(range(x.m), k)), dtype=np.int64).reshape(comb(x.m, k), k)
+        y = np.zeros((len(errors), x.m), dtype=np.uint8)
+        np.put_along_axis(y, errors, 1, axis=1)
+        syn = np.array([syndrome(x, row) for row in y.tolist()], dtype=np.uint8)
+        ok = (decode(paths, x, syn.reshape(len(y), x.n_vars)) == y).all(axis=1)
+        sets.append(errors[ok])
+    return sets
+
+
 def test_profile_counts_only_exact_decodes(monkeypatch, ex1_reduced):
     # a decoder answering every nonzero syndrome with all rows covers each
     # weight-1 error's position, yet returns a different error
@@ -272,6 +319,30 @@ def test_profile_counts_only_exact_decodes(monkeypatch, ex1_reduced):
 
     monkeypatch.setitem(dqi.DECODERS, "greedy", all_rows)
     assert failure_profile_exact("greedy", ex1_reduced[0], 1).eps == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("x", [
+    boundary_system(16, 30),  # one word of errors and of syndromes
+    boundary_system(72, 80),  # two words of each
+])
+def test_profile_checks_each_decoded_syndrome(monkeypatch, x):
+    # where T holds vertex 1 the decoder answers with its error rotated by one
+    # row: the same weight, but another error, with another syndrome
+    decode = dqi.DECODERS["greedy"]
+
+    def rotating(p, x, syndromes):
+        out = decode(p, x, syndromes)
+        hit = syndromes[:, 0] != 0
+        out[hit] = np.roll(out[hit], 1, axis=1)
+        return out
+
+    monkeypatch.setitem(dqi.DECODERS, "greedy", rotating)
+    exact = failure_profile_exact("greedy", x, 2)
+    want = brute_force_sets(rotating, x, 2)
+    assert len(want[1]) < x.m  # some decodes are rejected
+    for got, d_k in zip(exact.decoded_sets, want):
+        assert got.dtype == np.int64 and np.array_equal(got, d_k)
+    assert exact.eps == tuple((comb(x.m, k) - len(d_k)) / comb(x.m, k) for k, d_k in enumerate(want))
 
 
 # --------------------------------------------------------------- densities
@@ -414,13 +485,17 @@ def test_p_opt_zero_flags_infinite_cost(ex1_reduced):
 @settings(max_examples=60, deadline=None)
 @given(parity_systems(), st.integers(0, 3), st.data())
 def test_p_opt_matches_row_product_oracle(x, l, data):
-    # the parity-count densities reproduce the row products bit for bit
+    # the parity-count densities reproduce the row products bit for bit; the
+    # assignments are distinct, as optima are, so their densities sum to <= 1
     if x.m == 0:
         return
     l = min(l, x.m)
     weights = dicke_weights(x.m, l)
     assigns = data.draw(
-        st.lists(st.lists(st.integers(0, 1), min_size=x.n_vars, max_size=x.n_vars), min_size=1, max_size=6)
+        st.lists(
+            st.lists(st.integers(0, 1), min_size=x.n_vars, max_size=x.n_vars),
+            min_size=1, max_size=6, unique_by=tuple,
+        )
     )
     for decoder in ("greedy", "min-length"):
         prof = failure_profile_exact(decoder, x, l)
