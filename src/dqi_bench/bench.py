@@ -15,22 +15,30 @@ import csv
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import cached_property
 from math import exp, log
 
 import numpy as np
 
-from .decoder import DECODERS, PathList, build_graph, build_path_list, code_distance, gate_cost
+from .decoder import (
+    DECODERS,
+    ConstraintGraph,
+    PathList,
+    build_graph,
+    build_path_list,
+    check_matching_capacity,
+    code_distance,
+    gate_cost,
+)
 from .dqi import (
     DEFAULT_SAMPLES,
     DickeWeights,
-    check_exact_budget,
     default_degree,
     dicke_weights,
     exact_syndromes,
     failure_profile_exact,
     failure_profile_mc,
+    max_syndrome_support,
     mc_shells,
     p_opt_approx,
     p_opt_exact,
@@ -213,11 +221,13 @@ class _Instance:
 
     Construction refuses an optimum search over the elimination-width cap
     (``WIDTH_CAP``) before any other work, and the row builders then refuse
-    an exact profile over its syndrome budget.  The path list, the optimum
-    search and the Dicke weights run on first use and only once, and so do
-    the Monte Carlo shells of each (degree, samples, seed), which every
-    decoder scores, and the even-syndrome batch of each exact degree, which
-    every decoder decodes.
+    an exact profile over its syndrome budget, or drawn syndromes past the
+    min-length decoder's matching capacity, before any row.  The constraint
+    graph, the path list, the optimum search and the Dicke weights run on
+    first use and only once, and so do the Monte Carlo shells of each
+    (degree, samples, seed), which every decoder scores, and the
+    even-syndrome batch of each exact degree, which every decoder decodes;
+    building that batch checks its budget, once per degree.
     """
 
     def __init__(self, inst: BpspInstance, encoding: str, reduce: bool):
@@ -230,8 +240,12 @@ class _Instance:
         self._syndromes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property
+    def graph(self) -> ConstraintGraph:
+        return build_graph(self.x)
+
+    @cached_property
     def paths(self) -> PathList:
-        return build_path_list(build_graph(self.x))
+        return build_path_list(self.graph)
 
     @cached_property
     def optima(self) -> tuple[list[tuple[int, ...]], int]:
@@ -242,18 +256,28 @@ class _Instance:
             self._weights[degree] = dicke_weights(self.x.m, degree)
         return self._weights[degree]
 
-    def profile(self, decoder: str, exact: bool, l: int, samples: int, seed: int):
-        if exact:
-            if l not in self._syndromes:
-                self._syndromes[l] = exact_syndromes(self.x, l)
-            return failure_profile_exact(
-                decoder, self.x, l, paths=self.paths, syndromes=self._syndromes[l]
-            )
+    def syndromes(self, l: int) -> tuple[np.ndarray, np.ndarray]:
+        if l not in self._syndromes:
+            self._syndromes[l] = exact_syndromes(self.x, l, self.graph)
+        return self._syndromes[l]
+
+    def shells(self, l: int, samples: int, seed: int) -> list[np.ndarray]:
         if (l, samples, seed) not in self._shells:
             self._shells[l, samples, seed] = mc_shells(self.x.m, l, samples, seed)
+        return self._shells[l, samples, seed]
+
+    def check_matching_capacity(self, l: int, samples: int, seed: int) -> None:
+        """Refuse drawn errors whose syndromes the min-length decoder cannot pair."""
+        check_matching_capacity(max_syndrome_support(self.x, self.shells(l, samples, seed)))
+
+    def profile(self, decoder: str, exact: bool, l: int, samples: int, seed: int):
+        if exact:
+            return failure_profile_exact(
+                decoder, self.x, l, paths=self.paths, syndromes=self.syndromes(l)
+            )
         return failure_profile_mc(
             decoder, self.x, l, samples=samples, seed=seed, paths=self.paths,
-            shells=self._shells[l, samples, seed],
+            shells=self.shells(l, samples, seed),
         )
 
 
@@ -275,8 +299,10 @@ def _pipeline_rows(inst, runs, encoding, reduce, l, samples, seed) -> list[dict]
                 f"degree {degree} outside 1..min(n={x.n_vars}, m={x.m})"
             )
         if any(mode == "exact" for _, mode in runs):
-            check_exact_budget(x, degree)
-        dist = code_distance(x, cap=DISTANCE_CAP)
+            stage.syndromes(degree)
+        if ("min-length", "approx") in runs:
+            stage.check_matching_capacity(degree, samples, seed)
+        dist = code_distance(x, cap=DISTANCE_CAP, graph=stage.graph)
         if dist is None:
             dist = f">{DISTANCE_CAP}"
     setup_s = time.perf_counter() - started
@@ -388,7 +414,9 @@ def _sweeps(inst, decoders, profile_source, l_range, samples, seed, encoding=ICC
     if not l_values or l_values[0] < 1 or l_values[-1] > bound:
         raise ValidationError(f"degree range must lie within 1..{bound}")
     if profile_source == "exact":
-        check_exact_budget(x, l_values[-1])
+        stage.syndromes(l_values[-1])
+    elif "min-length" in decoders:
+        stage.check_matching_capacity(l_values[-1], samples, seed)
     out = []
     for decoder in decoders:
         profile = stage.profile(decoder, profile_source == "exact", l_values[-1], samples, seed)
@@ -425,23 +453,12 @@ def compare_decoders(
     return _pipeline_rows(inst, runs, encoding, reduce, l, samples, seed)
 
 
-def _validate_worker(args: tuple) -> tuple[dict, dict]:
-    """The exact and the approximate row of one instance, on one shared stage."""
-    n_cars, inst_seed, samples, decoder = args
-    runs = [(decoder, "exact"), (decoder, "approx")]
-    exact, approx = _pipeline_rows(
-        generate_instance(n_cars, inst_seed), runs, ICC, True, None, samples, inst_seed
-    )
-    return exact, approx
-
-
 def validate_approximation(
     n_list,
     instances_per_n: int = 10,
     seed: int = 0,
     samples: int = DEFAULT_SAMPLES,
     decoder: str = "greedy",
-    jobs: int = 1,
 ) -> tuple[list[dict], list[dict], list[dict]]:
     """Exact vs approximate optimum probability on random instances.
 
@@ -451,33 +468,22 @@ def validate_approximation(
     ratio, under mode "approx/exact", then each mode's own metrics), and
     the rows whose ratio falls outside [0.05, 3].
     """
-    tasks = [
-        (int(n_cars), derive_seed(seed, int(n_cars), i), samples, decoder)
-        for n_cars in n_list
-        for i in range(instances_per_n)
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_validate_worker, tasks))
-    else:
-        results = [_validate_worker(t) for t in tasks]
-
+    runs = [(decoder, "exact"), (decoder, "approx")]
     rows: list[dict] = []
     flagged: list[dict] = []
     ratios: dict[int, list[float]] = {}
-    for (exact_row, approx_row) in results:
-        rows.extend((exact_row, approx_row))
-        if exact_row["p_opt"] > 0 and approx_row["p_opt"] > 0:
-            ratio = approx_row["p_opt"] / exact_row["p_opt"]
-            ratios.setdefault(exact_row["n_cars"], []).append(ratio)
-            if not 0.05 <= ratio <= 3.0:
-                flagged.append(
-                    {
-                        "digest": exact_row["digest"],
-                        "n_cars": exact_row["n_cars"],
-                        "ratio": ratio,
-                    }
-                )
+    for n_cars in map(int, n_list):
+        for i in range(instances_per_n):
+            inst_seed = derive_seed(seed, n_cars, i)
+            exact_row, approx_row = _pipeline_rows(
+                generate_instance(n_cars, inst_seed), runs, ICC, True, None, samples, inst_seed
+            )
+            rows.extend((exact_row, approx_row))
+            if exact_row["p_opt"] > 0 and approx_row["p_opt"] > 0:
+                ratio = approx_row["p_opt"] / exact_row["p_opt"]
+                ratios.setdefault(n_cars, []).append(ratio)
+                if not 0.05 <= ratio <= 3.0:
+                    flagged.append({"digest": exact_row["digest"], "n_cars": n_cars, "ratio": ratio})
     aggregates = []
     for n_cars in sorted(ratios):
         logs = [log(r) for r in ratios[n_cars]]

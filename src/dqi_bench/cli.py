@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bench
@@ -41,13 +40,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("DQI_BENCH_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_instance(args):
@@ -212,7 +204,6 @@ def _cmd_validate_approx(args):
         instances_per_n=args.instances,
         seed=args.seed,
         samples=args.samples,
-        jobs=args.jobs,
     )
     bench.write_report_csv(rows, args.output)
     if args.aggregate_out:
@@ -309,7 +300,6 @@ def build_parser() -> _Parser:
     p.add_argument("--instances", type=int, default=10)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--aggregate-out", default=None)
     p.set_defaults(func=_cmd_validate_approx)

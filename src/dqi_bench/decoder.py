@@ -32,12 +32,18 @@ gate-for-gate into a reversible circuit of CNOT/Toffoli gates over three
 registers (syndrome, one flag qubit per path, error), which is what makes
 it attractive as an in-circuit decoder.
 
-Classical simulation compiles a gate list once, on first use, into flat
-(control, control, target) word indices, checking every gate's shape and
-every wire before any gate runs.  One interpreter loop then applies
-``w[t] ^= w[c1] & w[c2]`` over Python-int words, bit b of each word being
-basis state b: ``simulate_circuit_batch`` runs a whole batch of basis
-states in one pass, and ``simulate_circuit`` is a batch of one.
+A gate list compiles once, on first use, into three flat int columns
+(control 1, control 2, target word index) and the starts of its control
+runs, checking every gate's shape and every wire before any gate runs.  A
+control run is a maximal stretch of consecutive gates with the same two
+controls in which no target is one of those controls, so the controls
+hold still across it.  One interpreter loop reads ``fire = w[c1] & w[c2]``
+once per run over Python-int words, bit b of each word being basis state
+b, skips the run when it is 0 and otherwise XORs it into each target:
+``simulate_circuit_batch`` runs a whole batch of basis states in one pass,
+and ``simulate_circuit`` is a batch of one.  The circuit file is formatted
+from the same columns, one precomputed name per wire, and written in
+chunks of lines.
 """
 from __future__ import annotations
 
@@ -45,6 +51,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +59,7 @@ from .encoding import XorsatInstance, syndrome
 from .errors import CapacityError, ValidationError
 
 _T_CAP = 22  # largest syndrome support the min-length decoder pairs
+_CHUNK_LINES = 4096  # circuit file lines formatted and written at once
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,9 @@ class ConstraintGraph:
     component: dict[int, int]
 
 
-@dataclass(frozen=True)
-class PathEntry:
+class PathEntry(NamedTuple):
+    """One stored path; a named tuple, the cheapest record to make by the thousand."""
+
     u: int
     v: int
     edges: tuple[int, ...]  # representative edge ids along the path
@@ -105,14 +114,51 @@ class DecodeOutcome:
     decoded_error: tuple[int, ...]  # the T-join itself
 
 
+class Program(NamedTuple):
+    """A gate list compiled to flat columns: gate i is ``t[i] ^= c1[i] & c2[i]`` on words.
+
+    ``runs`` holds the index of the first gate of each control run, then
+    the gate count, so run r is gates ``runs[r]:runs[r + 1]``.
+    """
+
+    c1: list[int]
+    c2: list[int]
+    t: list[int]
+    runs: list[int]
+
+
+def _wires(gl: GateList) -> list[tuple[str, int]]:
+    """Every wire of the registers laid end to end: wire k is word k."""
+    sizes = (("v", gl.n_syndrome), ("p", gl.n_path), ("e", gl.n_error))
+    return [(reg, i) for reg, size in sizes for i in range(1, size + 1)]
+
+
+def _checked(gate, index: dict) -> tuple[int, int, int]:
+    """The (control 1, control 2, target) words of one gate, or the ValidationError it earns."""
+    kind, *wires = gate
+    if not (kind == "CX" and len(wires) == 2 or kind == "CCX" and len(wires) == 3):
+        raise ValidationError(f"malformed circuit: bad gate {gate!r}")
+    words = []
+    for reg, i in (wires[-1], *wires[:-1]):  # the target first
+        if (reg, i) not in index:
+            raise ValidationError(f"malformed circuit: wire {reg}:{i} out of range")
+        words.append(index[reg, i])
+    t, *ctrls = words
+    return ctrls[0], ctrls[-1], t
+
+
 @dataclass(frozen=True)
 class GateList:
     """A reversible circuit over the syndrome, path and error registers.
 
-    ``program`` is the gate list compiled once, on first use, into flat
-    (control 1, control 2, target) word indices over the registers laid
-    end to end; a CX repeats its control.  Every gate's shape and every
-    wire's register and range are checked then, before any gate runs.
+    ``program`` is the gate list compiled once, on first use, into three
+    flat columns of word indices over the registers laid end to end
+    (control 1, control 2, target; a CX repeats its control), plus the
+    start of each control run: a maximal stretch of consecutive gates with
+    the same two controls in which no target is one of those controls.  A
+    gate whose target is one of its controls is a run by itself.  Every
+    gate's shape and every wire's register and range are checked then,
+    before any gate runs.
     """
 
     n_syndrome: int
@@ -121,38 +167,33 @@ class GateList:
     gates: tuple[tuple, ...]  # ("CX", ctrl, tgt) or ("CCX", c1, c2, tgt), wires ("v"|"p"|"e", i)
 
     @cached_property
-    def program(self) -> tuple[tuple[int, int, int], ...]:
-        index: dict[tuple[str, int], int] = {}
-        for reg, size in (("v", self.n_syndrome), ("p", self.n_path), ("e", self.n_error)):
-            base = len(index)
-            index.update({(reg, i): base + i - 1 for i in range(1, size + 1)})
-
-        def checked(gate) -> tuple[int, int, int]:
-            kind, *wires = gate
-            if not (kind == "CX" and len(wires) == 2 or kind == "CCX" and len(wires) == 3):
-                raise ValidationError(f"malformed circuit: bad gate {gate!r}")
-            words = []
-            for reg, i in (wires[-1], *wires[:-1]):  # the target first
-                if (reg, i) not in index:
-                    raise ValidationError(f"malformed circuit: wire {reg}:{i} out of range")
-                words.append(index[reg, i])
-            t, *ctrls = words
-            return ctrls[0], ctrls[-1], t
-
-        program = []
+    def program(self) -> Program:
+        index = {wire: word for word, wire in enumerate(_wires(self))}
+        c1s, c2s, ts, runs = [], [], [], []
+        run_c1 = -1  # the open run's controls; -1 when no run is open
+        run_c2 = -1
         for gate in self.gates:
             try:  # the common case; anything unusual gets the full check
                 if gate[0] == "CX" and len(gate) == 3:
-                    c = index[gate[1]]
-                    program.append((c, c, index[gate[2]]))
-                    continue
-                if gate[0] == "CCX" and len(gate) == 4:
-                    program.append((index[gate[1]], index[gate[2]], index[gate[3]]))
-                    continue
+                    c1 = c2 = index[gate[1]]
+                    t = index[gate[2]]
+                elif gate[0] == "CCX" and len(gate) == 4:
+                    c1, c2, t = index[gate[1]], index[gate[2]], index[gate[3]]
+                else:
+                    c1, c2, t = _checked(gate, index)
             except (KeyError, TypeError, IndexError):
-                pass
-            program.append(checked(gate))
-        return tuple(program)
+                c1, c2, t = _checked(gate, index)
+            if t == c1 or t == c2:  # a run by itself
+                runs.append(len(ts))
+                run_c1 = -1
+            elif c1 != run_c1 or c2 != run_c2:
+                runs.append(len(ts))
+                run_c1, run_c2 = c1, c2
+            c1s.append(c1)
+            c2s.append(c2)
+            ts.append(t)
+        runs.append(len(ts))
+        return Program(c1s, c2s, ts, runs)
 
 
 @dataclass(frozen=True)
@@ -217,18 +258,22 @@ def build_path_list(g: ConstraintGraph) -> PathList:
     Paths to v share their suffixes.  Pairs in different components are
     omitted.
     """
-    entries = []
+    adjacency, pairs = g.adjacency, g.pairs
+    rows = []  # (length, u, v, edges): sorting them sorts by (length, u, v)
     for v in range(1, g.n_vertices + 1):
-        dist = _bfs(g.adjacency, v)
+        dist = _bfs(adjacency, v)
         to_v = {v: ()}
-        for w in dist:  # BFS order: every step is settled before its vertex
+        for w, d in dist.items():  # BFS order: every step is settled before its vertex
             if w != v:
-                step = next(s for s in g.adjacency[w] if dist[s] < dist[w])
-                to_v[w] = (g.pairs[min(w, step), max(w, step)],) + to_v[step]
-        entries.extend(PathEntry(u=u, v=v, edges=to_v[u], length=dist[u]) for u in dist if u < v)
-    entries.sort(key=lambda e: (e.length, e.u, e.v))
-    index = {(e.u, e.v): i for i, e in enumerate(entries)}
-    return PathList(entries=tuple(entries), component=g.component, index=index)
+                for step in adjacency[w]:
+                    if dist[step] < d:
+                        break
+                to_v[w] = (pairs[(w, step) if w < step else (step, w)],) + to_v[step]
+        rows.extend([(dist[u], u, v, to_v[u]) for u in dist if u < v])
+    rows.sort()
+    index = {(u, v): i for i, (_, u, v, _) in enumerate(rows)}
+    entries = tuple([PathEntry(u, v, edges, length) for length, u, v, edges in rows])
+    return PathList(entries=entries, component=g.component, index=index)
 
 
 def _greedy_scan(p: PathList, t: list[int], m: int) -> list[int]:
@@ -448,6 +493,12 @@ def _use_table(entries: int, rows: int) -> bool:
     return entries <= rows
 
 
+def check_matching_capacity(support: int) -> None:
+    """Refuse a syndrome support larger than ``_T_CAP``, the most the min-length decoder pairs."""
+    if support > _T_CAP:
+        raise CapacityError(f"syndrome support {support} exceeds matching capacity {_T_CAP}")
+
+
 def min_length_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarray) -> np.ndarray:
     """Min-length-decode a (batch, n_vars) 0/1 array of syndromes into (batch, m) errors.
 
@@ -461,9 +512,7 @@ def min_length_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarra
     and a component holding an odd part of T raises ValidationError.
     """
     bits = (np.asarray(syndromes) != 0).astype(np.uint8)
-    support = int(bits.sum(axis=1).max(initial=0))
-    if support > _T_CAP:
-        raise CapacityError(f"syndrome support {support} exceeds matching capacity {_T_CAP}")
+    check_matching_capacity(int(bits.sum(axis=1).max(initial=0)))
     comps: dict[int, list[int]] = {}
     for v, label in sorted(p.component.items()):
         comps.setdefault(label, []).append(v)
@@ -484,7 +533,7 @@ def min_length_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarra
 DECODERS = {"greedy": greedy_decode_batch, "min-length": min_length_decode_batch}
 
 
-def code_distance(x: XorsatInstance, cap: int = 12):
+def code_distance(x: XorsatInstance, cap: int = 12, *, graph: ConstraintGraph | None = None):
     """Minimum weight of a nonzero error with zero syndrome, or None past cap.
 
     Errors with zero syndrome are exactly the even-degree edge subsets of
@@ -493,10 +542,11 @@ def code_distance(x: XorsatInstance, cap: int = 12):
     the underlying simple graph (found by one BFS per edge with that edge
     removed).  Returns None when every cycle is longer than ``cap`` (in
     particular for forests, which have no nonzero kernel vector at all).
+    ``graph``, when given, is ``build_graph(x)``, already built.
     """
     if x.m < 1:
         raise ValidationError("code distance needs at least one constraint")
-    g = build_graph(x)
+    g = build_graph(x) if graph is None else graph
     if len(g.pairs) < x.m:
         return 2 if cap >= 2 else None
     best = None
@@ -518,20 +568,24 @@ def emit_circuit(p: PathList, g: ConstraintGraph) -> GateList:
     both syndrome bits are set, then path-controlled CNOTs flip the path's
     error-register bits and clear the two syndrome bits.  A final pass
     re-applies the syndrome CNOTs to restore the syndrome register; the
-    path register is left as garbage.
+    path register is left as garbage.  Each wire is one tuple, shared by
+    every gate on it, and the restore pass reuses each path's two clearing
+    gates.
     """
-    gates = []
+    v_wire = [("v", i) for i in range(g.n_vertices + 1)]  # entry 0 unused
+    e_wire = [("e", j) for j in range(len(g.edges) + 1)]
+    gates, restore = [], []
     for i, entry in enumerate(p.entries, start=1):
         pq = ("p", i)
-        gates.append(("CCX", ("v", entry.u), ("v", entry.v), pq))
-        for eid in entry.edges:
-            gates.append(("CX", pq, ("e", eid)))
-        gates.append(("CX", pq, ("v", entry.u)))
-        gates.append(("CX", pq, ("v", entry.v)))
-    for i, entry in enumerate(p.entries, start=1):
-        pq = ("p", i)
-        gates.append(("CX", pq, ("v", entry.u)))
-        gates.append(("CX", pq, ("v", entry.v)))
+        vu, vv = v_wire[entry.u], v_wire[entry.v]
+        clear_u, clear_v = ("CX", pq, vu), ("CX", pq, vv)
+        gates.append(("CCX", vu, vv, pq))
+        gates.extend([("CX", pq, e_wire[eid]) for eid in entry.edges])
+        gates.append(clear_u)
+        gates.append(clear_v)
+        restore.append(clear_u)
+        restore.append(clear_v)
+    gates.extend(restore)
     return GateList(
         n_syndrome=g.n_vertices,
         n_path=len(p.entries),
@@ -540,10 +594,18 @@ def emit_circuit(p: PathList, g: ConstraintGraph) -> GateList:
     )
 
 
-def _run(program, words: list[int]) -> None:
-    """The interpreter: bit b of every word is basis state b."""
-    for c1, c2, t in program:
-        words[t] ^= words[c1] & words[c2]
+def _run(program: Program, words: list[int]) -> None:
+    """The interpreter: bit b of every word is basis state b.
+
+    The controls of a run hold still across it, so ``fire`` is read once
+    per run, and a run that does not fire is skipped whole.
+    """
+    c1, c2, targets, runs = program
+    for start, end in zip(runs, runs[1:]):
+        fire = words[c1[start]] & words[c2[start]]
+        if fire:
+            for t in targets[start:end]:
+                words[t] ^= fire
 
 
 def _check_bits(name: str, bits, size: int) -> None:
@@ -556,9 +618,9 @@ def _check_bits(name: str, bits, size: int) -> None:
 def simulate_circuit(gl: GateList, y, s) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Apply the gate list to one classical basis state; returns (syndrome, path, error).
 
-    This is the word interpreter of ``simulate_circuit_batch`` on a batch
-    of one, so every word is a single bit.  The gate list is compiled and
-    checked once, before any gate runs; a malformed list or a register
+    This is the control-run interpreter of ``simulate_circuit_batch`` on a
+    batch of one, so every word is a single bit.  The gate list is compiled
+    and checked once, before any gate runs; a malformed list or a register
     value other than 0/1 raises ValidationError.
     """
     y, s = tuple(y), tuple(s)
@@ -607,17 +669,30 @@ def gate_cost(p: PathList) -> GateCost:
     return GateCost(leading_order=leading, ccx=n_paths, cx=leading + 4 * n_paths)
 
 
+def _circuit_chunks(gl: GateList):
+    """The circuit file as strings of up to ``_CHUNK_LINES`` lines, formatted from ``gl.program``."""
+    c1, c2, targets, _ = gl.program
+    names = [f"{reg}:{i}" for reg, i in _wires(gl)]
+    yield f"REGISTERS syndrome={gl.n_syndrome} path={gl.n_path} error={gl.n_error}\n"
+    gates = gl.gates
+    for lo in range(0, len(gates), _CHUNK_LINES):
+        hi = lo + _CHUNK_LINES
+        yield "".join([
+            f"CX {names[a]} {names[t]}\n" if gate[0] == "CX" else f"CCX {names[a]} {names[b]} {names[t]}\n"
+            for gate, a, b, t in zip(gates[lo:hi], c1[lo:hi], c2[lo:hi], targets[lo:hi])
+        ])
+
+
 def format_circuit(gl: GateList) -> str:
-    """Render a gate list in the line-oriented circuit file format."""
-    lines = [
-        f"REGISTERS syndrome={gl.n_syndrome} path={gl.n_path} error={gl.n_error}"
-    ]
-    for gate in gl.gates:
-        kind, *wires = gate
-        lines.append(" ".join([kind] + [f"{reg}:{i}" for reg, i in wires]))
-    return "\n".join(lines) + "\n"
+    """Render a gate list in the line-oriented circuit file format.
+
+    The text is formatted from the compiled program, so a malformed gate
+    list raises ValidationError.
+    """
+    return "".join(_circuit_chunks(gl))
 
 
 def write_circuit(gl: GateList, path) -> None:
+    """Write ``format_circuit(gl)`` to ``path``, one chunk of lines at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_circuit(gl))
+        fh.writelines(_circuit_chunks(gl))

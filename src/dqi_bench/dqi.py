@@ -39,7 +39,7 @@ from math import comb, inf, sqrt
 import numpy as np
 
 from ._stream import draw_shell
-from .decoder import DECODERS, PathList, build_graph, build_path_list
+from .decoder import DECODERS, ConstraintGraph, PathList, build_graph, build_path_list
 from .encoding import XorsatInstance
 from .errors import CapacityError, ValidationError
 
@@ -181,6 +181,15 @@ def _incidence_words(x: XorsatInstance) -> np.ndarray:
     return rows.view("<u8")
 
 
+def _shell_syndromes(x: XorsatInstance, shells: list[np.ndarray]) -> np.ndarray:
+    """The syndromes of every error of ``shells``, in order, packed as in ``_packed_incidence``.
+
+    A shell holds one error per row, as k 0-based positions.
+    """
+    packed = _packed_incidence(x)
+    return np.concatenate([np.bitwise_xor.reduce(packed[pos], axis=1) for pos in shells])
+
+
 def _shell_successes(
     decoder: str, x: XorsatInstance, paths: PathList | None, shells: list[np.ndarray]
 ) -> list[np.ndarray]:
@@ -193,9 +202,8 @@ def _shell_successes(
         raise ValidationError(f"unknown decoder {decoder!r}")
     if paths is None:
         paths = build_path_list(build_graph(x))
-    packed = _packed_incidence(x)
-    syndromes = np.concatenate([np.bitwise_xor.reduce(packed[pos], axis=1) for pos in shells])
-    keys = syndromes.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    syndromes = _shell_syndromes(x, shells)
+    keys = syndromes.view(np.dtype((np.void, syndromes.shape[1]))).ravel()
     distinct, inverse = np.unique(keys, return_inverse=True)
     distinct = distinct.view(np.uint8).reshape(len(distinct), -1)
     bits = np.unpackbits(distinct, axis=1, count=x.n_vars + 1, bitorder="little")[:, 1:]
@@ -207,20 +215,27 @@ def _shell_successes(
     ]
 
 
+def max_syndrome_support(x: XorsatInstance, shells: list[np.ndarray]) -> int:
+    """The most vertices any error of ``shells`` flips, from one XOR pass over them."""
+    return int(np.bitwise_count(_shell_syndromes(x, shells)).sum(axis=1, dtype=np.intp).max(initial=0))
+
+
 def _failure_rates(successes: list[np.ndarray]) -> tuple[float, ...]:
     return tuple((len(ok) - int(np.count_nonzero(ok))) / len(ok) for ok in successes)
 
 
-def check_exact_budget(x: XorsatInstance, l: int) -> None:
+def check_exact_budget(x: XorsatInstance, l: int, graph: ConstraintGraph | None = None) -> None:
     """Refuse an exact degree-l profile that would decode over ``ENUMERATION_BUDGET`` syndromes.
 
     Those are the syndromes T with an even number of vertices in every
     component of the row graph and |T| <= 2l: at most 2^(n-c) for n
-    variables in c components.
+    variables in c components.  ``graph``, when given, is ``build_graph(x)``.
     """
+    if graph is None:
+        graph = build_graph(x)
     # syndromes by size: the product over components of sum_j C(s, 2j) z^(2j)
     count = [1] + [0] * (2 * l)
-    for size in Counter(build_graph(x).component.values()).values():
+    for size in Counter(graph.component.values()).values():
         step = [comb(size, j) if j % 2 == 0 else 0 for j in range(2 * l + 1)]
         count = [sum(count[i] * step[t - i] for i in range(t + 1)) for t in range(2 * l + 1)]
     if sum(count) > ENUMERATION_BUDGET:
@@ -260,17 +275,21 @@ def _even_syndromes(component: dict[int, int], max_support: int) -> np.ndarray:
     return rows
 
 
-def exact_syndromes(x: XorsatInstance, l: int) -> tuple[np.ndarray, np.ndarray]:
+def exact_syndromes(
+    x: XorsatInstance, l: int, graph: ConstraintGraph | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The syndromes an exact degree-l profile decodes, in one batch.
 
     Returns them packed, as (rows, n_vars // 64 + 1) uint64 words laid out
     like ``_incidence_words``, and unpacked, as the (rows, n_vars) 0/1
     array a decoder takes.  The batch depends only on the instance and the
     degree, so every decoder of an instance can share it; its budget is
-    checked before it is built.
+    checked before it is built.  ``graph``, when given, is ``build_graph(x)``.
     """
-    check_exact_budget(x, l)
-    packed = _even_syndromes(build_graph(x).component, 2 * l)
+    if graph is None:
+        graph = build_graph(x)
+    check_exact_budget(x, l, graph)
+    packed = _even_syndromes(graph.component, 2 * l)
     bits = np.unpackbits(packed, axis=1, count=x.n_vars + 1, bitorder="little")[:, 1:]
     return packed.view("<u8"), bits
 
@@ -362,8 +381,8 @@ def failure_profile_exact(
     errors dec(T) of weight k whose own syndrome is T.  Each syndrome with
     an even number of vertices per component is decoded once, in one batch;
     only |T| <= 2l can matter, since a T-join has at least |T|/2 edges.
-    That batch is ``exact_syndromes(x, l)``, built here unless ``syndromes``
-    passes it in, already built.  Each decoded error is packed into uint64
+    That batch is ``exact_syndromes(x, l)``, built here, budget check
+    first, unless ``syndromes`` passes it in, already built and so checked.  Each decoded error is packed into uint64
     words once; its weight is a popcount, its syndrome is checked against T
     on packed words, and the positions of the errors kept are read off
     their set bits.  D_k holds 0-based int64 positions, rows in
@@ -376,11 +395,10 @@ def failure_profile_exact(
         raise ValidationError(f"degree l={l} out of range 0..{x.m}")
     if decoder not in DECODERS:
         raise ValidationError(f"unknown decoder {decoder!r}")
-    check_exact_budget(x, l)
-    if paths is None:
-        paths = build_path_list(build_graph(x))
     if syndromes is None:
         syndromes = exact_syndromes(x, l)
+    if paths is None:
+        paths = build_path_list(build_graph(x))
     packed, bits = syndromes
     err = _error_words(DECODERS[decoder](paths, x, bits))
     weight = np.bitwise_count(err).sum(axis=1, dtype=np.intp)

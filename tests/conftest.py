@@ -56,3 +56,16 @@ def syndrome_batches(monkeypatch):
 
     monkeypatch.setattr(dqi, "_even_syndromes", counting)
     return calls
+
+
+@pytest.fixture()
+def decode_calls(monkeypatch):
+    """The decoder of every batch decoded while the test runs."""
+    calls = []
+    for name, decode in list(dqi.DECODERS.items()):
+        def counting(*args, _name=name, _decode=decode):
+            calls.append(_name)
+            return _decode(*args)
+
+        monkeypatch.setitem(dqi.DECODERS, name, counting)
+    return calls

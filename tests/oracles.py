@@ -29,6 +29,7 @@ from dqi_bench import (
     paint_swaps,
     syndrome,
 )
+from dqi_bench.decoder import ConstraintGraph, PathEntry, Program
 from dqi_bench.dqi import (
     DEFAULT_SAMPLES,
     _check_weights_profile,
@@ -150,6 +151,26 @@ def graph_adjacency(x: XorsatInstance) -> dict[int, set[int]]:
         adj[a].add(b)
         adj[b].add(a)
     return adj
+
+
+def build_path_list_sorted(g: ConstraintGraph) -> PathList:
+    """The path list built entry by entry and sorted on a key, as the library first built it.
+
+    In the BFS tree of target v every vertex steps to its smallest neighbour
+    one hop closer to v; the entries are sorted by (length, u, v).
+    """
+    entries = []
+    for v in range(1, g.n_vertices + 1):
+        dist = bfs_distance(g.adjacency, v)
+        to_v = {v: ()}
+        for w in dist:  # BFS order: every step is settled before its vertex
+            if w != v:
+                step = next(s for s in g.adjacency[w] if dist[s] < dist[w])
+                to_v[w] = (g.pairs[min(w, step), max(w, step)],) + to_v[step]
+        entries.extend(PathEntry(u=u, v=v, edges=to_v[u], length=dist[u]) for u in dist if u < v)
+    entries.sort(key=lambda e: (e.length, e.u, e.v))
+    index = {(e.u, e.v): i for i, e in enumerate(entries)}
+    return PathList(entries=tuple(entries), component=g.component, index=index)
 
 
 def path_lengths(p: PathList) -> dict[tuple[int, int], int]:
@@ -356,6 +377,23 @@ def simulate_circuit_gates(gl: GateList, y, s) -> tuple[tuple[int, ...], tuple[i
         if fire:
             regs[tgt[0]][tgt[1] - 1] ^= 1
     return tuple(regs["v"]), tuple(regs["p"]), tuple(regs["e"])
+
+
+def format_circuit_gates(gl: GateList) -> str:
+    """The circuit file text, one f-string per wire of each gate, joined at the end."""
+    lines = [
+        f"REGISTERS syndrome={gl.n_syndrome} path={gl.n_path} error={gl.n_error}"
+    ]
+    for gate in gl.gates:
+        kind, *wires = gate
+        lines.append(" ".join([kind] + [f"{reg}:{i}" for reg, i in wires]))
+    return "\n".join(lines) + "\n"
+
+
+def run_program_per_gate(program: Program, words: list[int]) -> None:
+    """Apply a compiled program gate by gate, reading both controls for every gate."""
+    for c1, c2, t in zip(program.c1, program.c2, program.t):
+        words[t] ^= words[c1] & words[c2]
 
 
 def _min_weight_pairing(verts: tuple[int, ...], dist) -> tuple[tuple[int, int], ...]:

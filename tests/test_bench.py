@@ -21,7 +21,7 @@ from dqi_bench import (
     sweep_degree,
     validate_approximation,
 )
-from dqi_bench import bench, dqi
+from dqi_bench import bench, decoder, dqi
 from dqi_bench.bench import aggregate_rows, write_aggregate_csv, write_report_csv
 from oracles import (
     enumerate_optima_scan,
@@ -334,6 +334,50 @@ def test_capacity_refused_before_profile_or_search(no_profiles_or_search, call, 
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: compare_decoders(generate_instance(80, 0), samples=2000),
+        lambda: bench._sweeps(generate_instance(80, 0), bench.DECODER_NAMES, "mc", [32], 2000, 0),
+    ],
+    ids=["compare", "sweep"],
+)
+def test_matching_capacity_refused_before_any_decode(decode_calls, call):
+    # greedy runs first, but min-length cannot pair the heaviest drawn syndromes
+    with pytest.raises(CapacityError, match="syndrome support 52 exceeds matching capacity 22"):
+        call()
+    assert decode_calls == []
+
+
+def test_exact_stage_builds_graph_and_checks_budget_once(monkeypatch):
+    events = []
+
+    def record(module, name):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            events.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module in (bench, dqi, decoder):
+        record(module, "build_graph")
+    record(dqi, "check_exact_budget")
+    for name in ("code_distance", "build_path_list", "failure_profile_exact"):
+        record(bench, name)
+    compare_decoders(generate_instance(14, 1))
+    assert events.count("build_graph") == 1
+    assert events.count("check_exact_budget") == 1
+    assert events.index("check_exact_budget") < min(
+        events.index(name) for name in ("code_distance", "build_path_list", "failure_profile_exact")
+    )
+    events.clear()
+    bench._sweeps(generate_instance(12, 2), bench.DECODER_NAMES, "exact", None, 20, 0)
+    assert events.count("build_graph") == 1
+    assert events.count("check_exact_budget") == 1
+
+
 def test_run_pipeline_approx_past_old_cap():
     row = run_pipeline(generate_instance(30, 0), mode="approx")
     assert row["n"] == 30 and row["n_opt"] >= 2
@@ -383,17 +427,6 @@ def test_validate_searches_once_per_instance(monkeypatch):
     monkeypatch.setattr(bench, "enumerate_optima", counting)
     rows, _, _ = validate_approximation([5], instances_per_n=3, seed=2, samples=20)
     assert len(rows) == 6 and len(calls) == 3
-
-
-def test_validate_jobs_do_not_change_results():
-    kwargs = dict(instances_per_n=2, seed=5, samples=30)
-    rows1, agg1, _ = validate_approximation([3], jobs=1, **kwargs)
-    rows2, agg2, _ = validate_approximation([3], jobs=2, **kwargs)
-    strip = lambda rows: [
-        {k: v for k, v in r.items() if k != "wall_time_s"} for r in rows
-    ]
-    assert strip(rows1) == strip(rows2)
-    assert agg1 == agg2
 
 
 # --------------------------------------------------------------- lp export

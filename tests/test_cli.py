@@ -255,6 +255,14 @@ def test_capacity_error_exits_3(tmp_path, capsys):
     assert main(["bench", "--n-cars", "40", "--mode", "exact", "-o", str(report)]) == 3
 
 
+def test_matching_capacity_exits_3_before_any_decode(decode_calls, tmp_path, capsys):
+    argv = ["bench", "--n-cars", "80", "--seed", "0", "--mode", "approx", "--decoder", "both"]
+    assert main([*argv, "-o", str(tmp_path / "r.csv")]) == 3
+    assert "syndrome support 52 exceeds matching capacity 22" in capsys.readouterr().err
+    assert decode_calls == []
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_decode_stats_exact_over_budget_exits_3(tmp_path, capsys):
     inst = generate_instance(40, 0)
     system = tmp_path / "xs.json"

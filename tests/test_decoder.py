@@ -18,6 +18,7 @@ from dqi_bench import (
     emit_circuit,
     encode_icc,
     failure_profile_exact,
+    format_circuit,
     gate_cost,
     generate_instance,
     greedy_decode,
@@ -26,18 +27,22 @@ from dqi_bench import (
     simulate_circuit,
     simulate_circuit_batch,
     syndrome,
+    write_circuit,
 )
 from dqi_bench import decoder
 from dqi_bench.decoder import DECODERS
 from dqi_bench.dqi import _even_syndromes
 from oracles import (
     bfs_distance,
+    build_path_list_sorted,
+    format_circuit_gates,
     graph_adjacency,
     matchings_bruteforce,
     min_length_decode_pairs,
     min_length_join,
     parity_systems,
     path_lengths,
+    run_program_per_gate,
     simulate_circuit_gates,
 )
 
@@ -146,6 +151,16 @@ def test_path_list_matches_bfs_oracle(inst):
     assert lengths == sorted(lengths)
     for entry in p.entries:
         assert entry.length == len(entry.edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parity_systems())
+def test_path_list_matches_sorted_oracle(x):
+    g = build_graph(x)
+    p, want = build_path_list(g), build_path_list_sorted(g)
+    assert p.entries == want.entries
+    assert p.index == want.index
+    assert p == want
 
 
 # ---------------------------------------------------------------- greedy
@@ -532,11 +547,117 @@ def test_simulate_repeated_controls_and_control_targets():
     ]
 
 
+def control_run_case(gates):
+    """A gate list over two wires per register, checked on all 16 error and syndrome states."""
+    gl = GateList(n_syndrome=2, n_path=2, n_error=2, gates=gates)
+    states = [
+        ((e1, e2), (v1, v2)) for e1 in (0, 1) for e2 in (0, 1) for v1 in (0, 1) for v2 in (0, 1)
+    ]
+    assert_matches_gate_oracle(gl, states)
+    return gl.program.runs
+
+
+def test_control_run_ends_at_a_cx_onto_its_own_control():
+    # the CX onto v:1 clears it mid-run, so the last CX must not fire
+    gates = (
+        ("CX", ("v", 1), ("e", 1)),
+        ("CX", ("v", 1), ("v", 1)),
+        ("CX", ("v", 1), ("e", 2)),
+    )
+    assert control_run_case(gates) == [0, 1, 2, 3]
+    assert simulate_circuit(GateList(2, 2, 2, gates), (0, 0), (1, 0)) == ((0, 0), (0, 0), (1, 0))
+
+
+def test_control_run_ends_at_a_ccx_onto_its_control():
+    gates = (
+        ("CCX", ("v", 1), ("v", 2), ("e", 1)),
+        ("CCX", ("v", 1), ("v", 2), ("v", 2)),
+        ("CCX", ("v", 1), ("v", 2), ("e", 2)),
+        ("CCX", ("v", 1), ("v", 2), ("e", 1)),
+    )
+    assert control_run_case(gates) == [0, 1, 2, 4]
+    assert simulate_circuit(GateList(2, 2, 2, gates), (0, 0), (1, 1)) == ((1, 0), (0, 0), (1, 0))
+
+
+def test_control_run_repeats_targets():
+    gates = (
+        ("CX", ("p", 1), ("e", 1)),
+        ("CX", ("p", 1), ("e", 1)),
+        ("CX", ("p", 1), ("e", 2)),
+        ("CX", ("p", 1), ("e", 1)),
+        ("CX", ("v", 1), ("p", 1)),
+        ("CX", ("p", 1), ("e", 1)),
+        ("CX", ("p", 1), ("e", 1)),
+        ("CX", ("p", 1), ("v", 2)),
+    )
+    assert control_run_case(gates) == [0, 4, 5, 8]
+
+
+def test_control_run_broken_by_a_gate_onto_its_control():
+    # the middle gate sets p:1, so the run after it reads the new value
+    gates = (
+        ("CX", ("p", 1), ("e", 1)),
+        ("CX", ("p", 1), ("e", 2)),
+        ("CX", ("v", 1), ("p", 1)),
+        ("CX", ("p", 1), ("e", 1)),
+        ("CX", ("p", 1), ("v", 2)),
+    )
+    assert control_run_case(gates) == [0, 2, 3, 5]
+    assert simulate_circuit(GateList(2, 2, 2, gates), (0, 0), (1, 0)) == ((1, 1), (1, 0), (1, 0))
+
+
+class CountingWords(list):
+    """Words that count how often the interpreter reads one."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_interpreter_reads_two_controls_per_run(ex1_paths, ex1_graph):
+    gl = emit_circuit(ex1_paths, ex1_graph)
+    runs = len(gl.program.runs) - 1
+    # per path: the Toffoli, the path's CNOTs, and its two restoring CNOTs
+    assert runs == 3 * len(ex1_paths.entries)
+    words = CountingWords([0] * (gl.n_syndrome + gl.n_path + gl.n_error))
+    decoder._run(gl.program, words)  # no wire is set, so no run fires
+    assert words.reads == 2 * runs
+
+
+@settings(max_examples=150, deadline=None)
+@given(gate_lists(), st.data())
+def test_control_runs_match_per_gate_program(gl, data):
+    width = 1 + gl.n_syndrome + gl.n_path + gl.n_error
+    words = data.draw(st.lists(st.integers(0, 255), min_size=width, max_size=width))[1:]
+    want = list(words)
+    run_program_per_gate(gl.program, want)
+    decoder._run(gl.program, words)
+    assert words == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(gate_lists())
+def test_format_circuit_matches_oracle(gl):
+    assert format_circuit(gl) == format_circuit_gates(gl)
+
+
+def test_circuit_file_is_written_in_chunks(monkeypatch, tmp_path, ex1_paths, ex1_graph):
+    gl = emit_circuit(ex1_paths, ex1_graph)
+    monkeypatch.setattr(decoder, "_CHUNK_LINES", 5)  # 38 gates: eight chunks, the last short
+    path = tmp_path / "c.txt"
+    write_circuit(gl, path)
+    assert path.read_bytes() == format_circuit_gates(gl).encode()
+    assert format_circuit(gl) == format_circuit_gates(gl)
+
+
 def test_simulate_takes_wires_as_lists():
     gates = (("CCX", ["v", 1], ["e", 1], ["p", 1]), ["CX", ["p", 1], ["v", 1]])
     gl = GateList(n_syndrome=1, n_path=1, n_error=1, gates=gates)
     assert_matches_gate_oracle(gl, [((e,), (v,)) for e in (0, 1) for v in (0, 1)])
     assert simulate_circuit(gl, (1,), (1,)) == ((0,), (1,), (1,))
+    assert format_circuit(gl) == format_circuit_gates(gl)
 
 
 EMPTY = GateList(n_syndrome=2, n_path=1, n_error=2, gates=())
@@ -558,6 +679,8 @@ EMPTY = GateList(n_syndrome=2, n_path=1, n_error=2, gates=())
 )
 def test_simulate_rejects_malformed_gate_lists(gates, message):
     gl = GateList(n_syndrome=2, n_path=1, n_error=2, gates=gates)
+    with pytest.raises(ValidationError, match=message):
+        format_circuit(gl)
     ones = (1, 1)
     with pytest.raises(ValidationError, match=message):
         simulate_circuit_gates(gl, ones, ones)  # all wires 1: the oracle reads every wire too
