@@ -225,7 +225,8 @@ class _Instance:
     min-length decoder's matching capacity, before any row.  The constraint
     graph, the path list, the optimum search and the Dicke weights run on
     first use and only once, and so do the Monte Carlo shells of each
-    (degree, samples, seed), which every decoder scores, and the
+    (degree, samples, seed) and their syndromes, which every decoder scores
+    and the matching-capacity check reads, and the
     even-syndrome batch of each exact degree, which every decoder decodes;
     building that batch checks its budget, once per degree.
     """
@@ -236,7 +237,7 @@ class _Instance:
         self.forced_swaps = record.forced_swaps if record else 0
         self.order = _elimination_order(self.x.n_vars, _pair_scores(self.x))
         self._weights: dict[int, DickeWeights] = {}
-        self._shells: dict[tuple[int, int, int], list[np.ndarray]] = {}
+        self._shells: dict[tuple[int, int, int], tuple[list[np.ndarray], np.ndarray]] = {}
         self._syndromes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property
@@ -261,14 +262,15 @@ class _Instance:
             self._syndromes[l] = exact_syndromes(self.x, l, self.graph)
         return self._syndromes[l]
 
-    def shells(self, l: int, samples: int, seed: int) -> list[np.ndarray]:
+    def shells(self, l: int, samples: int, seed: int) -> tuple[list[np.ndarray], np.ndarray]:
         if (l, samples, seed) not in self._shells:
-            self._shells[l, samples, seed] = mc_shells(self.x.m, l, samples, seed)
+            self._shells[l, samples, seed] = mc_shells(self.x, l, samples, seed)
         return self._shells[l, samples, seed]
 
     def check_matching_capacity(self, l: int, samples: int, seed: int) -> None:
         """Refuse drawn errors whose syndromes the min-length decoder cannot pair."""
-        check_matching_capacity(max_syndrome_support(self.x, self.shells(l, samples, seed)))
+        _, syndromes = self.shells(l, samples, seed)
+        check_matching_capacity(max_syndrome_support(syndromes))
 
     def profile(self, decoder: str, exact: bool, l: int, samples: int, seed: int):
         if exact:
@@ -466,13 +468,19 @@ def validate_approximation(
     go through both pipelines at the default degree rule.  Returns the
     paired rows, per-N aggregates (the geometric mean of the approx/exact
     ratio, under mode "approx/exact", then each mode's own metrics), and
-    the rows whose ratio falls outside [0.05, 3].
+    the rows whose ratio falls outside [0.05, 3].  Car counts below 1 and a
+    negative seed are refused before any instance is built.
     """
+    n_list = [int(n_cars) for n_cars in n_list]
+    if any(n_cars < 1 for n_cars in n_list):
+        raise ValidationError(f"car counts must be >= 1, got {n_list}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     runs = [(decoder, "exact"), (decoder, "approx")]
     rows: list[dict] = []
     flagged: list[dict] = []
     ratios: dict[int, list[float]] = {}
-    for n_cars in map(int, n_list):
+    for n_cars in n_list:
         for i in range(instances_per_n):
             inst_seed = derive_seed(seed, n_cars, i)
             exact_row, approx_row = _pipeline_rows(

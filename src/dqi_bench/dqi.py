@@ -10,29 +10,30 @@ assignment x combines the per-shell signed sums over D_k.
 Everything here is classical, and densities are evaluated in closed form.
 Both decoders see only an error's syndrome, so the exact profile decodes
 once every syndrome an error of weight <= l can have (an even number of
-vertices per component, at most 2l in all) and reads D_k off the decoded
+vertices per component, at most 2l in all) and keeps D_k as the decoded
 errors, packed into uint64 words: weights are popcounts, each error's own
-syndrome is checked against T on packed words, and positions come off the
-set bits, already sorted.  That syndrome batch depends only on the
-instance and l, so decoders sharing an instance share one build of it.
-The Monte Carlo profile samples errors and decodes each distinct
-syndrome among them once.  Each profile is one decoder batch.  The sampler
-owns its random stream: a drawn shell equals numpy 2.4.6's per-draw
-``default_rng((seed, k, draw)).choice``, replayed in-package for all draws
-at once, so sampled profiles no longer depend on the installed numpy.
-Probability arithmetic is 64-bit float; binomial coefficients and shell
-sums are exact integers converted as late as possible.  A shell sum is a
-Walsh-Hadamard coefficient of the shell's signed syndrome state (Jordan
-et al., arXiv:2408.08292): each D_k row's syndrome and target parity are
-packed once per shell, and the sum at an assignment counts the rows whose
-packed word, masked by the assignment, has odd popcount.  The Monte Carlo
-shells depend only on (m, l, samples, seed), so decoders sharing an
-instance share one draw of them.
+syndrome is checked against T on packed words, and no pipeline run forms
+positions.  That syndrome batch depends only on the instance and l, so
+decoders sharing an instance share one build of it.  The Monte Carlo
+profile samples errors and decodes each distinct syndrome among them once.
+Each profile is one decoder batch.  The sampler owns its random stream: a
+drawn shell equals numpy 2.4.6's per-draw ``default_rng((seed, k,
+draw)).choice``, replayed in-package for all draws at once, so sampled
+profiles no longer depend on the installed numpy.  Probability arithmetic
+is 64-bit float; binomial coefficients and shell sums are exact integers
+converted as late as possible.  A shell sum is a Walsh-Hadamard
+coefficient of the shell's signed syndrome state (Jordan et al.,
+arXiv:2408.08292): one table lookup per byte of a packed D_k row gives its
+syndrome and target parity, and the sum at an assignment counts the rows
+whose lookup, masked by the assignment, has odd popcount.  The Monte Carlo
+shells and their syndromes depend only on the instance and (l, samples,
+seed), so decoders sharing an instance share one build of them.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb, inf, sqrt
 
@@ -135,10 +136,13 @@ def shell_sum_A(k: int, s: int, m: int) -> int:
 class FailureProfile:
     """Per-Hamming-weight decoder failure rates for one instance.
 
-    Exact mode retains the correctly decoded sets D_k (as arrays of 0-based
-    row indices) so signed sums can be evaluated later; Monte Carlo mode
-    keeps only the sampled failure fractions.  Shells small enough to
-    enumerate are always exact, even in Monte Carlo mode.
+    Exact mode retains the correctly decoded sets D_k so signed sums can be
+    evaluated later: ``decoded_words[k]`` holds each error of D_k as one row
+    of a (|D_k|, ceil(m / 64)) uint64 array, row j of the system being bit
+    j % 64 of word j // 64, rows in no particular order.  ``decoded_sets``
+    derives 0-based positions from them on request.  Monte Carlo mode keeps
+    only the sampled failure fractions.  Shells small enough to enumerate
+    are always exact, even in Monte Carlo mode.
     """
 
     mode: str  # "exact" | "monte_carlo"
@@ -147,7 +151,7 @@ class FailureProfile:
     l: int
     eps: tuple[float, ...]
     shell_sizes: tuple[int, ...]
-    decoded_sets: tuple[np.ndarray, ...] | None = None
+    decoded_words: tuple[np.ndarray, ...] | None = None
     samples_per_shell: int | None = None
     seed: int | None = None
 
@@ -157,6 +161,21 @@ class FailureProfile:
         if self.eps[0] != 0.0:
             raise ValidationError("weight-0 errors always decode: eps[0] must be 0")
 
+    @cached_property
+    def decoded_sets(self) -> tuple[np.ndarray, ...] | None:
+        """D_k as (|D_k|, k) int64 arrays of 0-based positions, rows in lexicographic order.
+
+        Derived from ``decoded_words`` on first access; None in Monte Carlo mode.
+        """
+        if self.decoded_words is None:
+            return None
+        sets = []
+        for k, words in enumerate(self.decoded_words):
+            bits = np.unpackbits(words.view(np.uint8), axis=1, count=self.m, bitorder="little")
+            pos = np.nonzero(bits)[1].astype(np.int64).reshape(len(words), k)
+            sets.append(pos[np.lexsort(pos.T[::-1])] if k else pos)
+        return tuple(sets)
+
 
 def _combinations(m: int, k: int) -> np.ndarray:
     """Every weight-k error as a row of 0-based positions, in lexicographic order."""
@@ -165,45 +184,45 @@ def _combinations(m: int, k: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.min_scalar_type(m), count=size * k).reshape(size, k)
 
 
-def _packed_incidence(x: XorsatInstance) -> np.ndarray:
-    """Row j's two endpoints as bits v of packed byte row j; bit 0 stays clear,
-    so no row is 0 bytes wide."""
-    ends = np.array(x.rows, dtype=np.intp).reshape(x.m, 2)
-    incidence = np.eye(x.n_vars + 1, dtype=bool)[ends].any(axis=1)
-    return np.packbits(incidence, axis=1, bitorder="little")
-
-
 def _incidence_words(x: XorsatInstance) -> np.ndarray:
-    """``_packed_incidence`` padded to (m, n_vars // 64 + 1) uint64 words."""
-    packed = _packed_incidence(x)
-    rows = np.zeros((x.m, 8 * (x.n_vars // 64 + 1)), dtype=np.uint8)
-    rows[:, : packed.shape[1]] = packed
-    return rows.view("<u8")
+    """Row j's two endpoints v as bits of row j of an (m, n_vars // 64 + 1) uint64 array.
+
+    Vertex v is bit v % 64 of word v // 64.  Bit 0 stays clear, so no row is
+    0 words wide, and a row's target parity can be folded in there.
+    """
+    words = np.zeros((x.m, x.n_vars // 64 + 1), dtype=np.uint64)
+    for v in np.array(x.rows, dtype=np.uint64).reshape(x.m, 2).T:
+        words[np.arange(x.m), v >> np.uint64(6)] |= np.uint64(1) << (v & np.uint64(63))
+    return words
 
 
 def _shell_syndromes(x: XorsatInstance, shells: list[np.ndarray]) -> np.ndarray:
-    """The syndromes of every error of ``shells``, in order, packed as in ``_packed_incidence``.
+    """The syndromes of every error of ``shells``, in order, as words laid out like ``_incidence_words``.
 
     A shell holds one error per row, as k 0-based positions.
     """
-    packed = _packed_incidence(x)
-    return np.concatenate([np.bitwise_xor.reduce(packed[pos], axis=1) for pos in shells])
+    incidence = _incidence_words(x)
+    return np.concatenate([np.bitwise_xor.reduce(incidence[pos], axis=1) for pos in shells])
 
 
 def _shell_successes(
-    decoder: str, x: XorsatInstance, paths: PathList | None, shells: list[np.ndarray]
+    decoder: str,
+    x: XorsatInstance,
+    paths: PathList | None,
+    shells: list[np.ndarray],
+    syndromes: np.ndarray,
 ) -> list[np.ndarray]:
     """Which errors of each shell the decoder returns unchanged.
 
-    A shell holds one error per row, as k 0-based positions.  Each distinct
-    syndrome across all shells is decoded once, in one batch.
+    A shell holds one error per row, as k 0-based positions, and
+    ``syndromes`` holds their syndromes, ``_shell_syndromes(x, shells)``.
+    Each distinct syndrome across all shells is decoded once, in one batch.
     """
     if decoder not in DECODERS:
         raise ValidationError(f"unknown decoder {decoder!r}")
     if paths is None:
         paths = build_path_list(build_graph(x))
-    syndromes = _shell_syndromes(x, shells)
-    keys = syndromes.view(np.dtype((np.void, syndromes.shape[1]))).ravel()
+    keys = syndromes.view(np.dtype((np.void, syndromes.itemsize * syndromes.shape[1]))).ravel()
     distinct, inverse = np.unique(keys, return_inverse=True)
     distinct = distinct.view(np.uint8).reshape(len(distinct), -1)
     bits = np.unpackbits(distinct, axis=1, count=x.n_vars + 1, bitorder="little")[:, 1:]
@@ -215,9 +234,9 @@ def _shell_successes(
     ]
 
 
-def max_syndrome_support(x: XorsatInstance, shells: list[np.ndarray]) -> int:
-    """The most vertices any error of ``shells`` flips, from one XOR pass over them."""
-    return int(np.bitwise_count(_shell_syndromes(x, shells)).sum(axis=1, dtype=np.intp).max(initial=0))
+def max_syndrome_support(syndromes: np.ndarray) -> int:
+    """The most vertices any of the packed ``syndromes`` (``mc_shells``' second part) holds."""
+    return int(np.bitwise_count(syndromes).sum(axis=1, dtype=np.intp).max(initial=0))
 
 
 def _failure_rates(successes: list[np.ndarray]) -> tuple[float, ...]:
@@ -248,8 +267,8 @@ def check_exact_budget(x: XorsatInstance, l: int, graph: ConstraintGraph | None 
 def _even_syndromes(component: dict[int, int], max_support: int) -> np.ndarray:
     """Every syndrome even in each component with at most ``max_support`` vertices.
 
-    ``component`` labels each vertex's component, and rows are packed as in
-    ``_packed_incidence``, padded to whole uint64 words.  Every vertex of a
+    ``component`` labels each vertex's component, and rows are bytes laid
+    out like the words of ``_incidence_words``.  Every vertex of a
     component but its last is a free bit, set only while the syndrome stays
     within ``max_support``; the last vertex takes the component's parity.
     """
@@ -300,72 +319,33 @@ def _error_words(decoded: np.ndarray) -> np.ndarray:
     Position j is bit j % 64 of word j // 64.
     """
     batch, m = decoded.shape
-    words = -(-m // 64)
-    bits = np.zeros((batch, 64 * words), dtype=np.uint8)
-    bits[:, :m] = decoded
-    return np.packbits(bits, axis=None, bitorder="little").view("<u8").reshape(batch, words)
+    packed = np.zeros((batch, 8 * -(-m // 64)), dtype=np.uint8)
+    packed[:, : -(-m // 8)] = np.packbits(decoded, axis=1, bitorder="little")
+    return packed.view("<u8")
 
 
-def _own_syndromes(x: XorsatInstance, err: np.ndarray) -> np.ndarray:
-    """The syndrome of each packed error, as words laid out like ``_incidence_words``.
+def _byte_table(rows: np.ndarray) -> np.ndarray:
+    """For every byte position of a packed error and every value of that byte,
+    the XOR of the ``rows`` (one per error position) that the byte sets.
 
-    A table holds, for every byte position of an error and every value of
-    that byte, the XOR of the incidences of the rows it sets; an error's
-    syndrome is the XOR of one table entry per byte.  The table takes
-    256 bytes per row and syndrome word.
+    The table takes 256 entries per byte, each as wide as a row.
     """
-    incidence = _incidence_words(x)
-    span = -(-x.m // 8)
-    rows = np.zeros((8 * span, incidence.shape[1]), dtype=np.uint64)
-    rows[: x.m] = incidence
-    table = np.zeros((span, 1, incidence.shape[1]), dtype=np.uint64)
+    span = -(-len(rows) // 8)
+    padded = np.zeros((8 * span, rows.shape[1]), dtype=np.uint64)
+    padded[: len(rows)] = rows
+    table = np.zeros((span, 1, rows.shape[1]), dtype=np.uint64)
     for bit in range(8):  # the entries with this bit set add row 8 * byte + bit
-        table = np.concatenate([table, table ^ rows[bit::8, None]], axis=1)
+        table = np.concatenate([table, table ^ padded[bit::8, None]], axis=1)
+    return table
+
+
+def _xor_rows(table: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """The XOR of the rows each packed error sets: one ``_byte_table`` entry per byte."""
     by = err.view(np.uint8)
-    own = np.zeros((len(err), incidence.shape[1]), dtype=np.uint64)
-    for b in range(span):
-        own ^= table[b, by[:, b]]
-    return own
-
-
-def _lex_order(err: np.ndarray, weight: np.ndarray, m: int) -> np.ndarray:
-    """The order that sorts packed errors by weight, then by positions, lexicographically.
-
-    The first position where two errors of equal weight differ is the lowest
-    bit of their XOR, and the error holding it comes first.  So with the
-    bits of each byte reversed and complemented, the bytes of an error,
-    byte 0 most significant, sort in that order.  Byte keys sort by radix.
-    """
-    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-    flip = ~np.packbits(bits, axis=1, bitorder="little").ravel()
-    keys = np.take(flip, err.view(np.uint8))[:, : -(-m // 8)]
-    return np.lexsort([*keys.T[::-1], weight])
-
-
-def _positions(err: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
-    """Read positions off packed errors sorted by weight: rows bounds[k]:bounds[k+1] have weight k.
-
-    Returns one (rows, k) int64 array per weight k, positions ascending in
-    each row.  Step s takes, in every row of weight > s, the lowest set bit
-    (popcount(low - 1) plus 64 per word before it, from the first word with
-    a bit left) and clears it.
-    """
-    words = err.T.copy()
-    offset = 64 * np.arange(len(words))[:, None]
-    sets = [
-        np.empty((bounds[k + 1] - bounds[k], k), dtype=np.int64) for k in range(len(bounds) - 1)
-    ]
-    for step in range(len(sets) - 1):
-        lo = bounds[step + 1]
-        left = words[:, lo:]
-        low = left & -left
-        # an empty word ranks after every set bit of the row
-        at = np.where(low != 0, np.bitwise_count(low - np.uint64(1)) + offset, 64 * len(words))
-        first = at.min(axis=0)
-        left ^= low * (at == first)
-        for k in range(step + 1, len(sets)):
-            sets[k][:, step] = first[bounds[k] - lo : bounds[k + 1] - lo]
-    return sets
+    out = np.zeros((len(err), table.shape[2]), dtype=np.uint64)
+    for b in range(len(table)):
+        out ^= table[b, by[:, b]]
+    return out
 
 
 def failure_profile_exact(
@@ -382,11 +362,12 @@ def failure_profile_exact(
     an even number of vertices per component is decoded once, in one batch;
     only |T| <= 2l can matter, since a T-join has at least |T|/2 edges.
     That batch is ``exact_syndromes(x, l)``, built here, budget check
-    first, unless ``syndromes`` passes it in, already built and so checked.  Each decoded error is packed into uint64
-    words once; its weight is a popcount, its syndrome is checked against T
-    on packed words, and the positions of the errors kept are read off
-    their set bits.  D_k holds 0-based int64 positions, rows in
-    lexicographic order, and eps_k = (C(m, k) - |D_k|) / C(m, k).  Raises
+    first, unless ``syndromes`` passes it in, already built and so checked.
+    Each decoded error is packed into uint64 words once; its weight is a
+    popcount and its syndrome is checked against T on packed words.  The
+    errors kept are D_k, as ``FailureProfile.decoded_words``: one stable
+    counting split groups them by weight, and within a weight they keep the
+    batch's order.  eps_k = (C(m, k) - |D_k|) / C(m, k).  Raises
     CapacityError when that means more than ``ENUMERATION_BUDGET``
     syndromes (at most 2^(n-c) for n variables in c components); Monte
     Carlo mode is the fallback at that point.
@@ -404,21 +385,20 @@ def failure_profile_exact(
     weight = np.bitwise_count(err).sum(axis=1, dtype=np.intp)
     keep = np.flatnonzero(weight <= l)
     err, weight = err[keep], weight[keep].astype(np.min_scalar_type(l))
-    ok = (_own_syndromes(x, err) == packed[keep]).all(axis=1)
+    ok = (_xor_rows(_byte_table(_incidence_words(x)), err) == packed[keep]).all(axis=1)
     err, weight = err[ok], weight[ok]
-    order = _lex_order(err, weight, x.m)
-    err, weight = err[order], weight[order]
-    bounds = np.searchsorted(weight, np.arange(l + 2))
+    err = err[np.argsort(weight, kind="stable")]  # a radix sort on these small integers
+    bounds = np.cumsum(np.bincount(weight, minlength=l + 1))[:-1]
+    decoded_words = tuple(np.split(err, bounds))
     sizes = tuple(comb(x.m, k) for k in range(l + 1))
-    decoded_sets = _positions(err, bounds)
     return FailureProfile(
         mode="exact",
         decoder=decoder,
         m=x.m,
         l=l,
-        eps=tuple((size - len(d_k)) / size for size, d_k in zip(sizes, decoded_sets)),
+        eps=tuple((size - len(d_k)) / size for size, d_k in zip(sizes, decoded_words)),
         shell_sizes=sizes,
-        decoded_sets=tuple(decoded_sets),
+        decoded_words=decoded_words,
     )
 
 
@@ -455,15 +435,21 @@ def sample_shell_error(m: int, k: int, seed: int, draws: int) -> np.ndarray:
     return draw_shell(m, k, seed, draws)
 
 
-def mc_shells(m: int, l: int, samples: int, seed: int) -> list[np.ndarray]:
-    """The errors a Monte Carlo profile scores, one (rows, k) position array per shell k <= l.
+def mc_shells(
+    x: XorsatInstance, l: int, samples: int, seed: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The errors a Monte Carlo profile scores, and their syndromes.
 
+    The errors come as one (rows, k) position array per shell k <= l.
     Shells with at most ``samples`` errors are enumerated exactly instead;
     draws are independent, so an error can be sampled more than once.  Each
     drawn shell is one ``sample_shell_error`` call, and its refusals are
     checked for the heaviest drawn shell before any shell is drawn.  The
-    shells depend on (m, l, samples, seed) only, never on the decoder.
+    errors depend on (m, l, samples, seed) only, never on the decoder.  The
+    syndromes of all shells, in order, are one (rows, n_vars // 64 + 1)
+    uint64 array laid out like ``_incidence_words``, from one XOR pass.
     """
+    m = x.m
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     if not 0 <= l <= m:
@@ -472,10 +458,11 @@ def mc_shells(m: int, l: int, samples: int, seed: int) -> list[np.ndarray]:
     drawn = [k for k, size in enumerate(sizes) if size > samples]
     if drawn:  # whatever refuses a drawn shell refuses the heaviest one
         _check_draws(m, drawn[-1], seed, samples)
-    return [
+    shells = [
         sample_shell_error(m, k, seed, samples) if size > samples else _combinations(m, k)
         for k, size in enumerate(sizes)
     ]
+    return shells, _shell_syndromes(x, shells)
 
 
 def failure_profile_mc(
@@ -485,21 +472,21 @@ def failure_profile_mc(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     paths: PathList | None = None,
-    shells: list[np.ndarray] | None = None,
+    shells: tuple[list[np.ndarray], np.ndarray] | None = None,
 ) -> FailureProfile:
     """Monte Carlo failure rates: a fixed number of uniform errors per shell.
 
-    The errors are ``mc_shells(x.m, l, samples, seed)``, drawn here unless
-    ``shells`` passes that list in, already drawn.
+    The errors and their syndromes are ``mc_shells(x, l, samples, seed)``,
+    drawn here unless ``shells`` passes that pair in, already drawn.
     """
     if shells is None:
-        shells = mc_shells(x.m, l, samples, seed)
+        shells = mc_shells(x, l, samples, seed)
     return FailureProfile(
         mode="monte_carlo",
         decoder=decoder,
         m=x.m,
         l=l,
-        eps=_failure_rates(_shell_successes(decoder, x, paths, shells)),
+        eps=_failure_rates(_shell_successes(decoder, x, paths, *shells)),
         shell_sizes=tuple(comb(x.m, k) for k in range(l + 1)),
         samples_per_shell=samples,
         seed=seed,
@@ -522,17 +509,6 @@ def normalization(weights: DickeWeights, profile: FailureProfile) -> float:
     )
 
 
-def _signed_syndromes(x: XorsatInstance, decoded_sets) -> list[np.ndarray]:
-    """Per decoded set: each row's syndrome and target parity as (rows, words) uint64.
-
-    Bit v of a row's words is variable v, as in ``_packed_incidence``, and
-    bit 0 its target parity.
-    """
-    rows = _incidence_words(x)
-    rows[:, 0] |= np.array(x.targets, dtype=np.uint64)
-    return [np.bitwise_xor.reduce(rows[d_k], axis=1) for d_k in decoded_sets]
-
-
 def _densities(x: XorsatInstance, assigns, weights: DickeWeights, profile: FailureProfile) -> np.ndarray:
     """Exact measurement density of each assignment, one row of ``assigns`` each.
 
@@ -542,11 +518,15 @@ def _densities(x: XorsatInstance, assigns, weights: DickeWeights, profile: Failu
     shell sums over the renormalization and the 2^n uniform factor.  That
     product is (-1)^(<y, targets> + <T(y), x>) for the syndrome T(y), the
     parity of popcount(s & a) for y's signed syndrome s and the assignment
-    mask a with bit 0 set.  So a shell sum is an integer, |D_k| minus
-    twice its odd rows, counted for about ``_DENSITY_CHUNK`` (assignment,
-    row) pairs at a time.
+    mask a with bit 0 set.  The signed syndromes come straight from the
+    packed rows of ``profile.decoded_words``: a ``_byte_table`` over the
+    incidence words with each row's target in bit 0 gives T(y) and the
+    target parity in one lookup per byte, built once per call and read one
+    shell at a time.  So a shell sum is an integer, |D_k| minus twice its
+    odd rows, counted for about ``_DENSITY_CHUNK`` (assignment, row) pairs
+    at a time.
     """
-    if profile.mode != "exact" or profile.decoded_sets is None:
+    if profile.mode != "exact" or profile.decoded_words is None:
         raise ValidationError("exact density needs an exact profile with decoded sets")
     _check_weights_profile(weights, profile, x.m)
     assigns = [tuple(int(b) for b in a) for a in assigns]
@@ -558,8 +538,12 @@ def _densities(x: XorsatInstance, assigns, weights: DickeWeights, profile: Failu
     bits[:, 0] = 1
     bits[:, 1 : x.n_vars + 1] = np.array(assigns, dtype=np.int64).reshape(len(assigns), x.n_vars) != 0
     masks = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    signed = _incidence_words(x)
+    signed[:, 0] |= np.array(x.targets, dtype=np.uint64)
+    table = _byte_table(signed)
     inner = np.zeros((len(assigns), len(weights.w)), dtype=np.int64)
-    for k, syn in enumerate(_signed_syndromes(x, profile.decoded_sets[: len(weights.w)])):
+    for k, d_k in enumerate(profile.decoded_words[: len(weights.w)]):
+        syn = _xor_rows(table, d_k)
         step = max(1, _DENSITY_CHUNK // max(len(syn), 1))
         for lo in range(0, len(assigns), step):
             chunk = masks[lo : lo + step]

@@ -323,8 +323,8 @@ def read_xorsat(path) -> XorsatInstance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParseError(f"not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object")
     for fieldname in ("n_vars", "rows", "targets", "labels"):
@@ -338,16 +338,16 @@ def read_xorsat(path) -> XorsatInstance:
         raise ParseError("field 'labels.vars' must map variable ids to integers")
     try:
         var_labels = {int(i): int(lab) for i, lab in vars_field.items()}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError("field 'labels.vars' must map variable ids to integers") from exc
     try:
         rows = tuple((int(a), int(b)) for a, b in data["rows"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError("field 'rows' must be a list of variable pairs") from exc
     try:
         n_vars = int(data["n_vars"])
         targets = tuple(int(v) for v in data["targets"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError("fields 'n_vars' and 'targets' must be integers") from exc
     return XorsatInstance(
         n_vars=n_vars,

@@ -69,3 +69,26 @@ def decode_calls(monkeypatch):
 
         monkeypatch.setitem(dqi.DECODERS, name, counting)
     return calls
+
+
+@pytest.fixture()
+def shell_syndrome_passes(monkeypatch):
+    """The shell count of every XOR pass over Monte Carlo shells made while the test runs."""
+    calls = []
+    build = dqi._shell_syndromes
+
+    def counting(x, shells):
+        calls.append(len(shells))
+        return build(x, shells)
+
+    monkeypatch.setattr(dqi, "_shell_syndromes", counting)
+    return calls
+
+
+@pytest.fixture()
+def no_positions(monkeypatch):
+    """Fail any read of ``FailureProfile.decoded_sets``, which pipeline runs never need."""
+    def refuse(profile):
+        raise AssertionError("a pipeline run derived D_k positions")
+
+    monkeypatch.setattr(dqi.FailureProfile, "decoded_sets", property(refuse))

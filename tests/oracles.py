@@ -505,14 +505,18 @@ class _SyndromeDecoder:
         return self.decoded_error_mask(positions) == err
 
 
-def failure_profile_exact_loop(
+def decoded_sets_loop(
     decoder: str,
     x: XorsatInstance,
     l: int,
     paths: PathList | None = None,
     budget: int = LOOP_BUDGET,
-) -> FailureProfile:
-    """The exact failure profile, scoring one enumerated error at a time."""
+) -> list[np.ndarray]:
+    """D_k for every weight k <= l, scoring one enumerated error at a time.
+
+    Each D_k is a (|D_k|, k) int64 array of 0-based positions, rows in
+    lexicographic order.
+    """
     if not 0 <= l <= x.m:
         raise ValidationError(f"degree l={l} out of range 0..{x.m}")
     total = sum(comb(x.m, k) for k in range(l + 1))
@@ -522,24 +526,43 @@ def failure_profile_exact_loop(
             "use the Monte Carlo profile instead"
         )
     runner = _SyndromeDecoder(decoder, x, paths)
-    eps = []
-    sizes = []
-    decoded_sets = []
+    sets = []
     for k in range(l + 1):
-        size = comb(x.m, k)
         good = [pos for pos in combinations(range(x.m), k) if runner.succeeds(pos)]
-        eps.append((size - len(good)) / size)
-        sizes.append(size)
-        decoded_sets.append(np.array(good, dtype=np.int64).reshape(len(good), k))
+        sets.append(np.array(good, dtype=np.int64).reshape(len(good), k))
+    return sets
+
+
+def profile_of_sets(decoder: str, m: int, sets) -> FailureProfile:
+    """The exact profile whose D_k are ``sets``, each row packed into uint64 words bit by bit."""
+    sizes = [comb(m, k) for k in range(len(sets))]
+    words = []
+    for d_k in sets:
+        packed = np.zeros((len(d_k), -(-m // 64)), dtype=np.uint64)
+        for r, row in enumerate(d_k.tolist()):
+            for j in row:
+                packed[r, j // 64] |= np.uint64(1 << (j % 64))
+        words.append(packed)
     return FailureProfile(
         mode="exact",
         decoder=decoder,
-        m=x.m,
-        l=l,
-        eps=tuple(eps),
+        m=m,
+        l=len(sets) - 1,
+        eps=tuple((size - len(d_k)) / size for size, d_k in zip(sizes, sets)),
         shell_sizes=tuple(sizes),
-        decoded_sets=tuple(decoded_sets),
+        decoded_words=tuple(words),
     )
+
+
+def failure_profile_exact_loop(
+    decoder: str,
+    x: XorsatInstance,
+    l: int,
+    paths: PathList | None = None,
+    budget: int = LOOP_BUDGET,
+) -> FailureProfile:
+    """The exact failure profile, scoring one enumerated error at a time."""
+    return profile_of_sets(decoder, x.m, decoded_sets_loop(decoder, x, l, paths, budget))
 
 
 def sample_shell_error_numpy(m: int, k: int, seed: int, draw: int) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dqi_bench import (
     BpspInstance,
     CapacityError,
+    ValidationError,
     XorsatInstance,
     compare_decoders,
     encode_icc,
@@ -276,11 +277,19 @@ def draw_calls(monkeypatch):
     return calls
 
 
-def test_compare_decoders_draws_each_shell_once(draw_calls):
+def test_compare_decoders_draws_each_shell_once(draw_calls, shell_syndrome_passes):
     # 45 rows at degree 9: shells 3..9 hold more than 2000 errors, 0..2 are enumerated
     rows = compare_decoders(generate_instance(24, 1), samples=2000)
     assert (rows[0]["m"], rows[0]["l"]) == (45, 9)
     assert [k for _, k, _, _ in draw_calls] == list(range(3, 10))
+    # one XOR pass serves the matching-capacity check and both profiles
+    assert shell_syndrome_passes == [10]
+
+
+def test_exact_compare_never_derives_positions(no_positions):
+    rows = compare_decoders(generate_instance(10, 3))
+    assert [row["mode"] for row in rows] == ["exact", "exact"]
+    assert all(row["p_opt"] > 0 for row in rows)
 
 
 def test_sweep_both_decoders_draw_each_shell_once(draw_calls):
@@ -400,6 +409,16 @@ def test_validate_approximation_small():
         assert a["mean"] > 0
     for item in flagged:
         assert not 0.05 <= item["ratio"] <= 3.0
+
+
+@pytest.mark.parametrize("n_list, seed", [([3, -3], 0), ([3, 0], 0), ([3], -1)])
+def test_validate_refuses_bad_inputs_before_any_instance(monkeypatch, n_list, seed):
+    def refuse(*args):
+        raise AssertionError("built an instance before the input checks")
+
+    monkeypatch.setattr(bench, "generate_instance", refuse)
+    with pytest.raises(ValidationError, match="must be >= "):
+        validate_approximation(n_list, instances_per_n=1, seed=seed)
 
 
 def test_validate_rows_match_separate_pipelines():

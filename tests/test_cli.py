@@ -193,6 +193,20 @@ def test_sweep_both_exact_builds_one_syndrome_batch(syndrome_batches, tmp_path, 
     assert syndrome_batches == [2 * 4]  # one batch, at the largest degree min(n, m) = 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--mode", "exact", "--decoder", "both"],
+    ["sweep", "--profile", "exact", "--decoder", "both"],
+])
+def test_exact_runs_never_derive_positions(no_positions, tmp_path, capsys, ex1_file, argv):
+    assert main([*argv, "-i", ex1_file, "-o", str(tmp_path / "out.csv")]) == 0
+
+
+def test_sweep_both_mc_makes_one_shell_syndrome_pass(shell_syndrome_passes, tmp_path, capsys, ex1_file):
+    argv = ["sweep", "-i", ex1_file, "--decoder", "both", "--profile", "mc", "--samples", "3"]
+    assert main([*argv, "-o", str(tmp_path / "sweep.csv")]) == 0
+    assert shell_syndrome_passes == [5]  # shells 0..4 of the largest degree, min(n, m) = 4
+
+
 def test_validate_approx(tmp_path, capsys):
     out = tmp_path / "va.csv"
     agg = tmp_path / "agg.csv"
@@ -323,3 +337,65 @@ def test_malformed_system_exits_2(tmp_path, capsys, text):
     bad.write_text(text)
     assert main(["distance", "-i", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# one malformed input file, readable as neither an instance nor a parity system
+BAD_FILES = {
+    "not-utf8": b"\xff\xfe{}",
+    "not-json": b"{",
+    "top-level-list": b"[1, 2]",
+    "missing-fields": b"{}",
+    "infinite-sizes": b'{"n_cars": 1e999, "sequence": [], "n_vars": 1e999, '
+                      b'"rows": [], "targets": [], "labels": {}}',
+    "no-such-file": None,
+}
+FILE_COMMANDS = [
+    ["encode", "-o", "{out}"], ["distance"], ["decode-stats"], ["decode-stats", "--mode", "approx"],
+    ["circuit", "-o", "{out}"], ["bench", "-o", "{out}"], ["sweep", "-o", "{out}"],
+    ["export-lp", "-o", "{out}"],
+]
+# small inputs only: an oversized --n-cars is slow to refuse, not malformed
+BAD_ARGS = [
+    ["gen", "--n-cars", "0", "-o", "{out}"],
+    ["gen", "--n-cars", "x", "-o", "{out}"],
+    ["encode", "--encoding", "zzz", "-i", "{system}", "-o", "{out}"],
+    ["distance", "--cap"],
+    ["decode-stats", "-i", "{system}", "--l", "100"],
+    ["decode-stats", "-i", "{system}", "--mode", "approx", "--samples", "0"],
+    ["circuit", "-i", "{system}"],
+    ["bench", "--n-cars", "-1", "-o", "{out}"],
+    ["bench", "--n-cars", "4", "-i", "{system}", "-o", "{out}"],
+    ["bench", "--n-cars", "4", "--l", "-1", "-o", "{out}"],
+    ["bench", "--n-cars", "4", "--mode", "approx", "--seed", "-1", "-o", "{out}"],
+    ["bench", "--n-cars", "4", "--mode", "approx", "--samples", "0", "-o", "{out}"],
+    ["bench", "--n-cars", "4", "-o", "{tmp}/no-such-dir/r.csv"],
+    ["sweep", "--n-cars", "4", "--l-min", "3", "--l-max", "1", "-o", "{out}"],
+    ["sweep", "--n-cars", "4", "--l-min", "2", "-o", "{out}"],
+    ["sweep", "--n-cars", "4", "--samples", "0", "-o", "{out}"],
+    ["validate-approx", "--n-list", "-3", "-o", "{out}"],
+    ["validate-approx", "--n-list", "3", "--seed", "-1", "-o", "{out}"],
+    ["validate-approx", "--n-list", "3,x", "-o", "{out}"],
+    ["validate-approx", "--n-list", ",", "-o", "{out}"],
+    ["export-lp", "-i", "{system}"],
+    ["no-such-command"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*cmd[:1], "-i", f"{{{name}}}", *cmd[1:]] for cmd in FILE_COMMANDS for name in BAD_FILES]
+    + BAD_ARGS,
+    ids=lambda argv: " ".join(argv).replace("{", "").replace("}", ""),
+)
+def test_malformed_input_exits_with_a_code_not_a_traceback(tmp_path, capsys, argv):
+    paths = {"tmp": str(tmp_path), "out": str(tmp_path / "out"), "system": str(tmp_path / "xs.json")}
+    inst = generate_instance(4, 1)
+    write_xorsat(reduce_instance(encode_icc(inst), inst)[0], paths["system"])
+    for name, data in BAD_FILES.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        if data is not None:
+            (tmp_path / f"{name}.json").write_bytes(data)
+    code = main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert code in (2, 3, 64), err
+    assert "Traceback" not in err

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import combinations, product
 from math import comb, isinf, sqrt
 
@@ -33,10 +32,11 @@ from dqi_bench import dqi
 from dqi_bench.dqi import sample_shell_error
 from oracles import (
     amplitude_oracle,
-    failure_profile_exact_loop,
+    decoded_sets_loop,
     failure_profile_mc_loop,
     p_exact_rowproduct,
     parity_systems,
+    profile_of_sets,
     shell_sum_bruteforce,
 )
 
@@ -213,12 +213,17 @@ def test_mc_profile_concentration():
 EMPTY = XorsatInstance(n_vars=0, rows=(), targets=())
 
 
-def assert_same_exact(got, want):
+def assert_same_exact(got, sets):
+    # sets are the oracle's own D_k positions, so the derived accessor sits on one side only
+    want = profile_of_sets(got.decoder, got.m, sets)
     assert got.eps == want.eps and got.shell_sizes == want.shell_sizes
-    assert len(got.decoded_sets) == len(want.decoded_sets)
-    for d_got, d_want in zip(got.decoded_sets, want.decoded_sets):
+    assert len(got.decoded_sets) == len(sets) == len(got.decoded_words)
+    for d_got, d_want in zip(got.decoded_sets, sets):
         assert d_got.dtype == d_want.dtype == np.int64
         assert d_got.shape == d_want.shape and np.array_equal(d_got, d_want)
+    for w_got, w_want in zip(got.decoded_words, want.decoded_words):
+        assert w_got.dtype == np.uint64 and w_got.shape == w_want.shape
+        assert sorted(map(tuple, w_got.tolist())) == sorted(map(tuple, w_want.tolist()))
 
 
 @settings(max_examples=80, deadline=None)
@@ -235,7 +240,7 @@ def test_profiles_match_per_error_oracle(x, decoder, l, samples, seed):
     # small sample counts make low shells enumerated and higher ones drawn
     l = min(l, x.m)
     exact = failure_profile_exact(decoder, x, l)
-    assert_same_exact(exact, failure_profile_exact_loop(decoder, x, l))
+    assert_same_exact(exact, decoded_sets_loop(decoder, x, l))
     l_mc = min(l + 1, x.m)
     mc = failure_profile_mc(decoder, x, l_mc, samples=samples, seed=seed)
     assert mc.eps == failure_profile_mc_loop(decoder, x, l_mc, samples=samples, seed=seed).eps
@@ -248,7 +253,7 @@ def test_profiles_past_int16_positions():
     x = XorsatInstance(n_vars=3, rows=rows, targets=(0,) * len(rows))
     exact = failure_profile_exact("greedy", x, 1)
     assert exact.decoded_sets[1].tolist() == [[0], [39999]]
-    assert_same_exact(exact, failure_profile_exact_loop("greedy", x, 1))
+    assert_same_exact(exact, decoded_sets_loop("greedy", x, 1))
     mc = failure_profile_mc("greedy", x, 2, samples=5, seed=1)
     assert mc.eps == failure_profile_mc_loop("greedy", x, 2, samples=5, seed=1).eps
 
@@ -261,7 +266,7 @@ def test_profiles_and_densities_past_one_word():
     assigns = [tuple((v * 7 + s) % 3 % 2 for v in range(70)) for s in range(3)]
     for decoder in ("greedy", "min-length"):
         exact = failure_profile_exact(decoder, x, 1)
-        assert_same_exact(exact, failure_profile_exact_loop(decoder, x, 1))
+        assert_same_exact(exact, decoded_sets_loop(decoder, x, 1))
         want = sum(p_exact_rowproduct(x, a, weights, exact) for a in assigns)
         assert p_opt_exact(x, assigns, weights, exact, c_dqi=1.0).p_opt == want
 
@@ -285,13 +290,10 @@ def test_profiles_across_word_boundaries(n_vars, m):
     # errors of 63, 64, 65, 128 and 129 rows; syndromes of 62, 63 and 64 variables
     x = boundary_system(n_vars, m)
     for decoder in ("greedy", "min-length"):
-        want = failure_profile_exact_loop(decoder, x, 2)
+        want = decoded_sets_loop(decoder, x, 2)
         for l in (1, 2):
             exact = failure_profile_exact(decoder, x, l)
-            assert_same_exact(exact, replace(
-                want, l=l, eps=want.eps[: l + 1], shell_sizes=want.shell_sizes[: l + 1],
-                decoded_sets=want.decoded_sets[: l + 1],
-            ))
+            assert_same_exact(exact, want[: l + 1])
         if m == 65:
             # rows 63 and 64 are the path's last two edges, 62-63 and 63-64
             assert [63, 64] in exact.decoded_sets[2].tolist()
@@ -475,7 +477,7 @@ def test_p_opt_zero_flags_infinite_cost(ex1_reduced):
     x = ex1_reduced[0]
     empty = FailureProfile(
         mode="exact", decoder="greedy", m=x.m, l=0, eps=(0.0,), shell_sizes=(1,),
-        decoded_sets=(np.empty((0, 0), dtype=np.int64),),
+        decoded_words=(np.empty((0, 1), dtype=np.uint64),),
     )
     est = p_opt_exact(x, [(0, 0, 0, 0)], dicke_weights(x.m, 0), empty, c_dqi=8.0)
     assert est.p_opt == 0.0 == p_exact_rowproduct(x, (0, 0, 0, 0), dicke_weights(x.m, 0), empty)
@@ -508,8 +510,9 @@ def test_p_opt_matches_row_product_oracle_on_empty_sets(ex1_reduced):
     x = ex1_reduced[0]
     empty = FailureProfile(
         mode="exact", decoder="greedy", m=x.m, l=1, eps=(0.0, 1.0), shell_sizes=(1, x.m),
-        decoded_sets=(np.empty((1, 0), dtype=np.int64), np.empty((0, 1), dtype=np.int64)),
+        decoded_words=(np.zeros((1, 1), dtype=np.uint64), np.empty((0, 1), dtype=np.uint64)),
     )
+    assert [d_k.shape for d_k in empty.decoded_sets] == [(1, 0), (0, 1)]
     weights = dicke_weights(x.m, 1)
     assigns = [(0, 1, 1, 1), (1, 0, 0, 0), (0, 0, 0, 0)]
     want = sum(p_exact_rowproduct(x, a, weights, empty) for a in assigns)
