@@ -38,7 +38,6 @@ from .dqi import (
     exact_syndromes,
     failure_profile_exact,
     failure_profile_mc,
-    max_syndrome_support,
     mc_shells,
     p_opt_approx,
     p_opt_exact,
@@ -238,7 +237,7 @@ class _Instance:
         self.order = _elimination_order(self.x.n_vars, _pair_scores(self.x))
         self._weights: dict[int, DickeWeights] = {}
         self._shells: dict[tuple[int, int, int], tuple[list[np.ndarray], np.ndarray]] = {}
-        self._syndromes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._syndromes: dict[int, np.ndarray] = {}
 
     @cached_property
     def graph(self) -> ConstraintGraph:
@@ -257,7 +256,7 @@ class _Instance:
             self._weights[degree] = dicke_weights(self.x.m, degree)
         return self._weights[degree]
 
-    def syndromes(self, l: int) -> tuple[np.ndarray, np.ndarray]:
+    def syndromes(self, l: int) -> np.ndarray:
         if l not in self._syndromes:
             self._syndromes[l] = exact_syndromes(self.x, l, self.graph)
         return self._syndromes[l]
@@ -270,7 +269,7 @@ class _Instance:
     def check_matching_capacity(self, l: int, samples: int, seed: int) -> None:
         """Refuse drawn errors whose syndromes the min-length decoder cannot pair."""
         _, syndromes = self.shells(l, samples, seed)
-        check_matching_capacity(max_syndrome_support(syndromes))
+        check_matching_capacity(syndromes)
 
     def profile(self, decoder: str, exact: bool, l: int, samples: int, seed: int):
         if exact:

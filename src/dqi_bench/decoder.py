@@ -17,20 +17,22 @@ whose endpoints are still unmatched; the minimum-length decoder pairs T
 optimally per component by subset dynamic programming over the pairwise
 graph distances.
 
-``DECODERS`` maps each name to its batch form: a (batch, n_vars) 0/1 array
-of syndromes in, a (batch, m) 0/1 array of decoded errors out.  The greedy
-scan runs once per batch over bit-sliced ints.  The minimum-weight T-join
-is a minimum pairing of T over shortest paths (Edmonds and Johnson,
-"Matching, Euler tours and the Chinese postman", Math. Prog. 1973).  A
-batch with at least as many rows as the even vertex sets it can need, such
-as an exact profile's, fills one pairing table per component, layer by
-layer in set size, with one vectorized pass per partner column; any other
-batch pairs each part recursively, sharing one memo of solved vertex sets.
-Both give the same errors.  ``greedy_decode`` and ``min_length_decode``
-are batches of one.  The scan translates
-gate-for-gate into a reversible circuit of CNOT/Toffoli gates over three
-registers (syndrome, one flag qubit per path, error), which is what makes
-it attractive as an in-circuit decoder.
+``DECODERS`` maps each name to its batch form on packed words: (batch,
+n_vars // 64 + 1) uint64 syndromes in, vertex v being bit v % 64 of word
+v // 64 and bit 0 clear, and (batch, ceil(m / 64)) uint64 errors out, row
+j (0-based) being bit j % 64 of word j // 64 and the padding bits 0;
+``pack_rows`` packs 0/1 rows that way.  The greedy scan runs once per batch
+over bit-sliced ints.  The minimum-weight T-join is a minimum pairing of T
+over shortest paths (Edmonds and Johnson, "Matching, Euler tours and the
+Chinese postman", Math. Prog. 1973).  A batch with at least as many rows
+as the even vertex sets it can need, such as an exact profile's, fills one
+pairing table per component, layer by layer in set size, with one
+vectorized pass per partner column; any other batch pairs each part
+recursively, sharing one memo of solved vertex sets.  Both give the same
+errors.  ``greedy_decode`` and ``min_length_decode`` are batches of one.
+The scan translates gate-for-gate into a reversible circuit of
+CNOT/Toffoli gates over three registers (syndrome, one flag qubit per
+path, error), which is what makes it attractive as an in-circuit decoder.
 
 A gate list compiles once, on first use, into three flat int columns
 (control 1, control 2, target word index) and the starts of its control
@@ -307,22 +309,39 @@ def greedy_decode(p: PathList, x: XorsatInstance, y) -> DecodeOutcome:
     return _outcome(y, _greedy_scan(p, list(syndrome(x, y)), x.m))
 
 
+def pack_rows(bits) -> np.ndarray:
+    """0/1 rows as uint64 words: column j of a (batch, width) array is bit j % 64 of word j // 64."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    batch, width = bits.shape
+    packed = np.zeros((batch, 8 * -(-width // 64)), dtype=np.uint8)
+    packed[:, : -(-width // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
 def _pack_columns(bits: np.ndarray) -> list[int]:
     """One int word per column of a (batch, width) 0/1 array: bit b is row b."""
     packed = np.packbits(bits, axis=0, bitorder="little")
     return [int.from_bytes(c.tobytes(), "little") for c in packed.T]
 
 
-def _unpack_columns(words: list[int], batch: int) -> np.ndarray:
-    """The (batch, len(words)) 0/1 array whose column j is word j."""
+def _column_rows(words: list[int], batch: int) -> np.ndarray:
+    """Int columns as (batch, ceil(len(words) / 64)) uint64 rows: bit b of word j is bit j of row b."""
     size = (batch + 7) // 8
-    raw = np.frombuffer(b"".join(w.to_bytes(size, "little") for w in words), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(len(words), size), axis=1, count=batch, bitorder="little").T
+    raw = b"".join(w.to_bytes(size, "little") for w in words)
+    raw = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), size)
+    out = np.zeros((batch, 8 * -(-len(words) // 64)), dtype=np.uint8)
+    for q in range(0, len(words), 8):  # byte q // 8 of a row holds columns q..q+7
+        cols = np.unpackbits(raw[q : q + 8], axis=1, count=batch, bitorder="little")
+        cols <<= np.arange(len(cols), dtype=np.uint8)[:, None]
+        out[:, q // 8] = np.bitwise_or.reduce(cols)
+    return out.view("<u8")
 
 
 def greedy_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarray) -> np.ndarray:
-    """Greedy-decode a (batch, n_vars) 0/1 array of syndromes into (batch, m) errors."""
-    return _unpack_columns(_greedy_scan(p, _pack_columns(syndromes), x.m), len(syndromes))
+    """Greedy-decode packed syndromes into packed errors (see ``DECODERS``) over bit-sliced columns."""
+    syn = np.ascontiguousarray(syndromes, dtype="<u8").view(np.uint8)
+    cols = _pack_columns(np.unpackbits(syn, axis=1, count=x.n_vars + 1, bitorder="little"))
+    return _column_rows(_greedy_scan(p, cols[1:], x.m), len(syn))
 
 
 def _pairing(mask: int, memo: dict[int, tuple[int, int]], link) -> tuple[int, int]:
@@ -357,12 +376,12 @@ def _pairing(mask: int, memo: dict[int, tuple[int, int]], link) -> tuple[int, in
 def min_length_decode(p: PathList, x: XorsatInstance, y) -> DecodeOutcome:
     """Decode one error via an exact minimum-weight perfect matching of its syndrome."""
     y = tuple(int(b) for b in y)
-    syn = np.array([syndrome(x, y)], dtype=np.uint8)
-    return _outcome(y, min_length_decode_batch(p, x, syn)[0])
+    err = min_length_decode_batch(p, x, pack_rows([(0, *syndrome(x, y))]))
+    return _outcome(y, np.unpackbits(err.view(np.uint8), count=x.m, bitorder="little"))
 
 
-def _memo_decode(p: PathList, x: XorsatInstance, bits: np.ndarray) -> np.ndarray:
-    """The min-length errors of a batch, one ``_pairing`` per component part of each row."""
+def _memo_decode(p: PathList, x: XorsatInstance, syn: np.ndarray) -> np.ndarray:
+    """The min-length errors of a packed batch, one ``_pairing`` per component part of each row."""
     n = x.n_vars
     link = [[None] * n for _ in range(n)]
     for (u, v), i in p.index.items():
@@ -372,17 +391,16 @@ def _memo_decode(p: PathList, x: XorsatInstance, bits: np.ndarray) -> np.ndarray
     for v, comp in p.component.items():
         comp_masks[comp] = comp_masks.get(comp, 0) | 1 << (v - 1)
     memo: dict[int, tuple[int, int]] = {0: (0, 0)}
-    width = (x.m + 7) // 8
-    raw = bytearray(len(bits) * width)
-    for i, row in enumerate(np.packbits(bits, axis=1, bitorder="little")):
-        mask = int.from_bytes(row.tobytes(), "little")
+    batch, width = len(syn), 8 * ((x.m + 63) // 64)
+    raw = bytearray(batch * width)
+    for i, row in enumerate(syn.tolist()):
+        mask = sum(w << (64 * q) for q, w in enumerate(row)) >> 1  # vertex v is bit v
         err = 0
         for comp_mask in comp_masks.values():
             if mask & comp_mask:
                 err ^= _pairing(mask & comp_mask, memo, link)[1]
         raw[i * width : (i + 1) * width] = err.to_bytes(width, "little")
-    raw = np.frombuffer(raw, dtype=np.uint8).reshape(len(bits), width)
-    return np.unpackbits(raw, axis=1, count=x.m, bitorder="little")
+    return np.frombuffer(raw, dtype="<u8").reshape(batch, width // 8)
 
 
 def _colex_layers(s: int, top: int):
@@ -462,14 +480,14 @@ def _component_table(p: PathList, verts: list[int], binom: np.ndarray, words: in
     return errs
 
 
-def _table_decode(p: PathList, x: XorsatInstance, bits: np.ndarray, parts) -> np.ndarray:
-    """The min-length errors of a batch, read from one pairing table per component.
+def _table_decode(p: PathList, x: XorsatInstance, syn: np.ndarray, parts) -> np.ndarray:
+    """The min-length errors of a packed batch, read from one pairing table per component.
 
     ``parts`` holds, per component, its vertices and the row sizes of the
     batch's part in it.  Each row's part is located by its size and colex rank.
     """
     words = (x.m + 63) // 64
-    err = np.zeros((len(bits), words), dtype=np.uint64)
+    err = np.zeros((len(syn), words), dtype=np.uint64)
     for verts, sizes in parts:
         top = int(sizes.max())
         if top == 0:
@@ -477,15 +495,14 @@ def _table_decode(p: PathList, x: XorsatInstance, bits: np.ndarray, parts) -> np
         binom = np.array([[comb(v, q) for q in range(top + 1)] for v in range(len(verts))])
         table = _component_table(p, verts, binom, words)
         offset = np.cumsum([0] + [len(t) for t in table])
-        seen = np.zeros(len(bits), dtype=np.intp)
-        rank = np.zeros(len(bits), dtype=np.int64)
+        seen = np.zeros(len(syn), dtype=np.intp)
+        rank = np.zeros(len(syn), dtype=np.int64)
         for q, v in enumerate(verts):  # the q-th set vertex adds C(local index, q)
-            col = bits[:, v - 1]
+            col = (syn[:, v >> 6] >> np.uint64(v & 63)) & np.uint64(1) != 0
             seen += col
             rank += np.where(col, binom[q, seen], 0)
         err ^= np.concatenate(table)[offset[sizes // 2] + rank]
-    raw = err.astype("<u8").view(np.uint8)
-    return np.unpackbits(raw, axis=1, count=x.m, bitorder="little")
+    return err
 
 
 def _use_table(entries: int, rows: int) -> bool:
@@ -493,14 +510,15 @@ def _use_table(entries: int, rows: int) -> bool:
     return entries <= rows
 
 
-def check_matching_capacity(support: int) -> None:
-    """Refuse a syndrome support larger than ``_T_CAP``, the most the min-length decoder pairs."""
+def check_matching_capacity(syndromes: np.ndarray) -> None:
+    """Refuse packed syndromes past ``_T_CAP`` vertices, the most the min-length decoder pairs."""
+    support = int(np.bitwise_count(syndromes).sum(axis=1, dtype=np.intp).max(initial=0))
     if support > _T_CAP:
         raise CapacityError(f"syndrome support {support} exceeds matching capacity {_T_CAP}")
 
 
 def min_length_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarray) -> np.ndarray:
-    """Min-length-decode a (batch, n_vars) 0/1 array of syndromes into (batch, m) errors.
+    """Min-length-decode a batch of packed syndromes into packed errors, laid out as ``DECODERS`` says.
 
     Each syndrome's support T is paired per component.  A batch with no
     fewer rows than its pairing tables have entries (the even vertex sets
@@ -511,23 +529,24 @@ def min_length_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarra
     Before any pairing, a T larger than ``_T_CAP`` raises CapacityError
     and a component holding an odd part of T raises ValidationError.
     """
-    bits = (np.asarray(syndromes) != 0).astype(np.uint8)
-    check_matching_capacity(int(bits.sum(axis=1).max(initial=0)))
+    syn = np.asarray(syndromes, dtype=np.uint64)
+    check_matching_capacity(syn)
     comps: dict[int, list[int]] = {}
     for v, label in sorted(p.component.items()):
         comps.setdefault(label, []).append(v)
     parts = []
     for verts in comps.values():
-        sizes = bits[:, [v - 1 for v in verts]].sum(axis=1, dtype=np.intp)
+        mask = pack_rows([np.isin(np.arange(syn.shape[1] * 64), verts)])
+        sizes = np.bitwise_count(syn & mask).sum(axis=1, dtype=np.intp)
         if (sizes % 2).any():
             raise ValidationError("odd syndrome parity within a component")
         parts.append((verts, sizes))
     entries = sum(
         comb(len(verts), j) for verts, sizes in parts for j in range(2, int(sizes.max(initial=0)) + 1, 2)
     )
-    if _use_table(entries, len(bits)):
-        return _table_decode(p, x, bits, parts)
-    return _memo_decode(p, x, bits)
+    if _use_table(entries, len(syn)):
+        return _table_decode(p, x, syn, parts)
+    return _memo_decode(p, x, syn)
 
 
 DECODERS = {"greedy": greedy_decode_batch, "min-length": min_length_decode_batch}
@@ -650,7 +669,8 @@ def simulate_circuit_batch(gl: GateList, errors, syndromes) -> tuple[np.ndarray,
         raise ValidationError(f"{len(errors)} error registers != {len(syndromes)} syndrome registers")
     words = _pack_columns(syndromes != 0) + [0] * gl.n_path + _pack_columns(errors != 0)
     _run(gl.program, words)
-    bits = _unpack_columns(words, len(errors))
+    rows = _column_rows(words, len(errors)).view(np.uint8)
+    bits = np.unpackbits(rows, axis=1, count=len(words), bitorder="little")
     path_end = gl.n_syndrome + gl.n_path
     return bits[:, : gl.n_syndrome], bits[:, gl.n_syndrome : path_end], bits[:, path_end:]
 

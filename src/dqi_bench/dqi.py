@@ -11,11 +11,12 @@ Everything here is classical, and densities are evaluated in closed form.
 Both decoders see only an error's syndrome, so the exact profile decodes
 once every syndrome an error of weight <= l can have (an even number of
 vertices per component, at most 2l in all) and keeps D_k as the decoded
-errors, packed into uint64 words: weights are popcounts, each error's own
-syndrome is checked against T on packed words, and no pipeline run forms
-positions.  That syndrome batch depends only on the instance and l, so
-decoders sharing an instance share one build of it.  The Monte Carlo
-profile samples errors and decodes each distinct syndrome among them once.
+errors.  Syndromes and errors stay uint64 words from the batch through
+the decoder to D_k: weights are popcounts, each error's own syndrome is
+checked against T on words, and no pipeline run forms positions.  That
+syndrome batch depends only on the instance and l, so decoders sharing an
+instance share one build of it.  The Monte Carlo profile samples errors
+and decodes each distinct syndrome among them once.
 Each profile is one decoder batch.  The sampler owns its random stream: a
 drawn shell equals numpy 2.4.6's per-draw ``default_rng((seed, k,
 draw)).choice``, replayed in-package for all draws at once, so sampled
@@ -40,14 +41,14 @@ from math import comb, inf, sqrt
 import numpy as np
 
 from ._stream import draw_shell
-from .decoder import DECODERS, ConstraintGraph, PathList, build_graph, build_path_list
+from .decoder import DECODERS, ConstraintGraph, PathList, build_graph, build_path_list, pack_rows
 from .encoding import XorsatInstance
 from .errors import CapacityError, ValidationError
 
 POWER_ITERATION_CAP = 10**5
 _CHANGE_TOL = 1e-12
 _RESIDUAL_TOL = 1e-11
-ENUMERATION_BUDGET = 1 << 20  # even syndromes an exact profile may decode
+ENUMERATION_BUDGET = 1 << 21  # even syndromes an exact profile may decode
 _DENSITY_CHUNK = 1 << 16  # (assignment, D_k row) parities evaluated at once
 DEFAULT_SAMPLES = 2000
 
@@ -224,19 +225,12 @@ def _shell_successes(
         paths = build_path_list(build_graph(x))
     keys = syndromes.view(np.dtype((np.void, syndromes.itemsize * syndromes.shape[1]))).ravel()
     distinct, inverse = np.unique(keys, return_inverse=True)
-    distinct = distinct.view(np.uint8).reshape(len(distinct), -1)
-    bits = np.unpackbits(distinct, axis=1, count=x.n_vars + 1, bitorder="little")[:, 1:]
-    decoded = DECODERS[decoder](paths, x, bits)
-    weight = decoded.sum(axis=1)
+    decoded = DECODERS[decoder](paths, x, distinct.view(syndromes.dtype).reshape(len(distinct), -1))
+    unit = pack_rows(np.eye(x.m, dtype=np.uint8))  # row j's error as words
     return [
-        (weight[idx] == pos.shape[1]) & decoded[idx[:, None], pos].all(axis=1)
+        (decoded[idx] == np.bitwise_or.reduce(unit[pos], axis=1)).all(axis=1)
         for pos, idx in zip(shells, np.split(inverse, np.cumsum([len(s) for s in shells])[:-1]))
     ]
-
-
-def max_syndrome_support(syndromes: np.ndarray) -> int:
-    """The most vertices any of the packed ``syndromes`` (``mc_shells``' second part) holds."""
-    return int(np.bitwise_count(syndromes).sum(axis=1, dtype=np.intp).max(initial=0))
 
 
 def _failure_rates(successes: list[np.ndarray]) -> tuple[float, ...]:
@@ -294,34 +288,19 @@ def _even_syndromes(component: dict[int, int], max_support: int) -> np.ndarray:
     return rows
 
 
-def exact_syndromes(
-    x: XorsatInstance, l: int, graph: ConstraintGraph | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def exact_syndromes(x: XorsatInstance, l: int, graph: ConstraintGraph | None = None) -> np.ndarray:
     """The syndromes an exact degree-l profile decodes, in one batch.
 
-    Returns them packed, as (rows, n_vars // 64 + 1) uint64 words laid out
-    like ``_incidence_words``, and unpacked, as the (rows, n_vars) 0/1
-    array a decoder takes.  The batch depends only on the instance and the
-    degree, so every decoder of an instance can share it; its budget is
-    checked before it is built.  ``graph``, when given, is ``build_graph(x)``.
+    Returns them as the (rows, n_vars // 64 + 1) uint64 words laid out like
+    ``_incidence_words`` that every entry of ``DECODERS`` takes.  The batch
+    depends only on the instance and the degree, so every decoder of an
+    instance can share it; its budget is checked before it is built.
+    ``graph``, when given, is ``build_graph(x)``.
     """
     if graph is None:
         graph = build_graph(x)
     check_exact_budget(x, l, graph)
-    packed = _even_syndromes(graph.component, 2 * l)
-    bits = np.unpackbits(packed, axis=1, count=x.n_vars + 1, bitorder="little")[:, 1:]
-    return packed.view("<u8"), bits
-
-
-def _error_words(decoded: np.ndarray) -> np.ndarray:
-    """A (batch, m) 0/1 array of errors as (batch, ceil(m / 64)) uint64 words.
-
-    Position j is bit j % 64 of word j // 64.
-    """
-    batch, m = decoded.shape
-    packed = np.zeros((batch, 8 * -(-m // 64)), dtype=np.uint8)
-    packed[:, : -(-m // 8)] = np.packbits(decoded, axis=1, bitorder="little")
-    return packed.view("<u8")
+    return _even_syndromes(graph.component, 2 * l).view("<u8")
 
 
 def _byte_table(rows: np.ndarray) -> np.ndarray:
@@ -353,7 +332,7 @@ def failure_profile_exact(
     x: XorsatInstance,
     l: int,
     paths: PathList | None = None,
-    syndromes: tuple[np.ndarray, np.ndarray] | None = None,
+    syndromes: np.ndarray | None = None,
 ) -> FailureProfile:
     """Exact failure rates and correctly decoded sets D_k for every weight k <= l.
 
@@ -363,8 +342,8 @@ def failure_profile_exact(
     only |T| <= 2l can matter, since a T-join has at least |T|/2 edges.
     That batch is ``exact_syndromes(x, l)``, built here, budget check
     first, unless ``syndromes`` passes it in, already built and so checked.
-    Each decoded error is packed into uint64 words once; its weight is a
-    popcount and its syndrome is checked against T on packed words.  The
+    The decoder returns each error as uint64 words; its weight is a
+    popcount and its syndrome is checked against T on those words.  The
     errors kept are D_k, as ``FailureProfile.decoded_words``: one stable
     counting split groups them by weight, and within a weight they keep the
     batch's order.  eps_k = (C(m, k) - |D_k|) / C(m, k).  Raises
@@ -380,12 +359,11 @@ def failure_profile_exact(
         syndromes = exact_syndromes(x, l)
     if paths is None:
         paths = build_path_list(build_graph(x))
-    packed, bits = syndromes
-    err = _error_words(DECODERS[decoder](paths, x, bits))
+    err = DECODERS[decoder](paths, x, syndromes)
     weight = np.bitwise_count(err).sum(axis=1, dtype=np.intp)
     keep = np.flatnonzero(weight <= l)
     err, weight = err[keep], weight[keep].astype(np.min_scalar_type(l))
-    ok = (_xor_rows(_byte_table(_incidence_words(x)), err) == packed[keep]).all(axis=1)
+    ok = (_xor_rows(_byte_table(_incidence_words(x)), err) == syndromes[keep]).all(axis=1)
     err, weight = err[ok], weight[ok]
     err = err[np.argsort(weight, kind="stable")]  # a radix sort on these small integers
     bounds = np.cumsum(np.bincount(weight, minlength=l + 1))[:-1]
@@ -533,11 +511,10 @@ def _densities(x: XorsatInstance, assigns, weights: DickeWeights, profile: Failu
     for a in assigns:
         if len(a) != x.n_vars:
             raise ValidationError(f"assignment length {len(a)} != n_vars = {x.n_vars}")
-    words = x.n_vars // 64 + 1
-    bits = np.zeros((len(assigns), 64 * words), dtype=np.uint8)
-    bits[:, 0] = 1
-    bits[:, 1 : x.n_vars + 1] = np.array(assigns, dtype=np.int64).reshape(len(assigns), x.n_vars) != 0
-    masks = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    bits = np.ones((len(assigns), x.n_vars + 1), dtype=np.uint8)
+    bits[:, 1:] = np.array(assigns, dtype=np.int64).reshape(len(assigns), x.n_vars) != 0
+    masks = pack_rows(bits)
+    words = masks.shape[1]
     signed = _incidence_words(x)
     signed[:, 0] |= np.array(x.targets, dtype=np.uint64)
     table = _byte_table(signed)

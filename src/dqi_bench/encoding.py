@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
-from .instances import BpspInstance, Coloring
+from .instances import BpspInstance, Coloring, is_json_int
 
 ICC = "icc"
 NON_ICC = "non-icc"
@@ -334,25 +334,23 @@ def read_xorsat(path) -> XorsatInstance:
     if not isinstance(labels, dict):
         raise ParseError("field 'labels' must be an object")
     vars_field = labels.get("vars", {})
-    if not isinstance(vars_field, dict):
+    if not isinstance(vars_field, dict) or not all(map(is_json_int, vars_field.values())):
         raise ParseError("field 'labels.vars' must map variable ids to integers")
     try:
-        var_labels = {int(i): int(lab) for i, lab in vars_field.items()}
-    except (TypeError, ValueError, OverflowError) as exc:
+        var_labels = {int(i): lab for i, lab in vars_field.items()}
+    except ValueError as exc:  # keys are strings
         raise ParseError("field 'labels.vars' must map variable ids to integers") from exc
-    try:
-        rows = tuple((int(a), int(b)) for a, b in data["rows"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError("field 'rows' must be a list of variable pairs") from exc
-    try:
-        n_vars = int(data["n_vars"])
-        targets = tuple(int(v) for v in data["targets"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError("fields 'n_vars' and 'targets' must be integers") from exc
+    rows, n_vars, targets = data["rows"], data["n_vars"], data["targets"]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == 2 and all(map(is_json_int, row)) for row in rows
+    ):
+        raise ParseError("field 'rows' must be a list of variable pairs")
+    if not is_json_int(n_vars) or not isinstance(targets, list) or not all(map(is_json_int, targets)):
+        raise ParseError("fields 'n_vars' and 'targets' must be integers")
     return XorsatInstance(
         n_vars=n_vars,
-        rows=rows,
-        targets=targets,
+        rows=tuple(map(tuple, rows)),
+        targets=tuple(targets),
         var_labels=var_labels,
         encoding=labels.get("encoding", ICC),
     )

@@ -111,6 +111,11 @@ def write_instance(inst: BpspInstance, path) -> None:
         fh.write("\n")
 
 
+def is_json_int(value) -> bool:
+    """Whether a parsed JSON value is an integer: an int, and not a bool, which is also an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def read_instance(path) -> BpspInstance:
     """Read an instance file, validating structure and invariants."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -123,10 +128,8 @@ def read_instance(path) -> BpspInstance:
     for field in ("n_cars", "sequence"):
         if field not in data:
             raise ParseError(f"missing field '{field}'")
-    if not isinstance(data["n_cars"], int):
+    if not is_json_int(data["n_cars"]):
         raise ParseError("field 'n_cars' must be an integer")
-    if not isinstance(data["sequence"], list) or not all(
-        isinstance(c, int) for c in data["sequence"]
-    ):
+    if not isinstance(data["sequence"], list) or not all(map(is_json_int, data["sequence"])):
         raise ParseError("field 'sequence' must be a list of integers")
     return BpspInstance(n_cars=data["n_cars"], sequence=tuple(data["sequence"]))

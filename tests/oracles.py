@@ -29,7 +29,7 @@ from dqi_bench import (
     paint_swaps,
     syndrome,
 )
-from dqi_bench.decoder import ConstraintGraph, PathEntry, Program
+from dqi_bench.decoder import ConstraintGraph, PathEntry, Program, pack_rows
 from dqi_bench.dqi import (
     DEFAULT_SAMPLES,
     _check_weights_profile,
@@ -71,6 +71,34 @@ def parity_systems(draw):
     rows += draw(st.sampled_from([[], rows[:2]]))  # repeat some rows, maybe with other targets
     targets = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
     return XorsatInstance(n_vars=n, rows=tuple(rows), targets=tuple(targets))
+
+
+def boundary_system(n_vars, m):
+    """A system of ``m`` rows whose components hold up to 8 variables (at least 5), each a path.
+
+    Chords within the components come first, so the paths' last rows sit
+    past the errors' word boundaries.
+    """
+    comps = [range(lo, min(lo + 8, n_vars + 1)) for lo in range(1, n_vars + 1, 8)]
+    path = [(v, v + 1) for c in comps for v in c[:-1]]
+    chords = []
+    for j in range(m - len(path)):
+        c, t = comps[j % len(comps)], j // len(comps)
+        a = c[0] + t % (len(c) - 4)
+        chords.append((a, a + 3 + t // (len(c) - 4) % 2))
+    rows = tuple(chords + path)
+    return XorsatInstance(n_vars=n_vars, rows=rows, targets=tuple(j % 2 for j in range(m)))
+
+
+def syndrome_words(syn) -> np.ndarray:
+    """A (batch, n_vars) 0/1 array of syndromes as the words ``DECODERS`` take: vertex v is bit v."""
+    return pack_rows(np.insert(np.asarray(syn, dtype=np.uint8), 0, 0, axis=1))
+
+
+def error_bits(words: np.ndarray, m: int) -> np.ndarray:
+    """The (batch, m) 0/1 array of the packed errors ``DECODERS`` return."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=m, bitorder="little")
 
 
 def satisfied_direct(x: XorsatInstance, assign) -> int:

@@ -331,11 +331,11 @@ def no_profiles_or_search(monkeypatch):
         (lambda: run_pipeline(generate_instance(40, 0), mode="exact"), "syndromes"),
         (lambda: compare_decoders(generate_instance(40, 0)), "syndromes"),
         (lambda: sweep_degree(generate_instance(40, 0), profile_source="exact"), "syndromes"),
-        (lambda: run_pipeline(generate_instance(22, 0), mode="exact"), "syndromes"),
+        (lambda: run_pipeline(generate_instance(23, 0), mode="exact"), "syndromes"),
     ],
     ids=[
         "approx-100-cars", "sweep-100-cars", "non-icc-approx-100-cars",
-        "exact-40-cars", "compare-exact-40-cars", "sweep-exact-40-cars", "exact-22-cars",
+        "exact-40-cars", "compare-exact-40-cars", "sweep-exact-40-cars", "exact-23-cars",
     ],
 )
 def test_capacity_refused_before_profile_or_search(no_profiles_or_search, call, match):

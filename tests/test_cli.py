@@ -347,6 +347,14 @@ BAD_FILES = {
     "missing-fields": b"{}",
     "infinite-sizes": b'{"n_cars": 1e999, "sequence": [], "n_vars": 1e999, '
                       b'"rows": [], "targets": [], "labels": {}}',
+    # JSON values that a cast would turn into integers
+    "row-as-string": b'{"n_vars": 2, "rows": ["12"], "targets": [0], "labels": {}}',
+    "fractional-n-vars": b'{"n_vars": 2.9, "rows": [[1, 2]], "targets": [0], "labels": {}}',
+    "fractional-row": b'{"n_vars": 2, "rows": [[1.7, 2.2]], "targets": [0], "labels": {}}',
+    "boolean-target": b'{"n_vars": 2, "rows": [[1, 2]], "targets": [true], "labels": {}}',
+    "boolean-label": b'{"n_vars": 2, "rows": [[1, 2]], "targets": [0], "labels": {"vars": {"1": true}}}',
+    "boolean-n-cars": b'{"n_cars": true, "sequence": [1, 1]}',
+    "boolean-car": b'{"n_cars": 1, "sequence": [1, true]}',
     "no-such-file": None,
 }
 FILE_COMMANDS = [

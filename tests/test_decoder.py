@@ -30,13 +30,15 @@ from dqi_bench import (
     write_circuit,
 )
 from dqi_bench import decoder
-from dqi_bench.decoder import DECODERS
+from dqi_bench.decoder import DECODERS, pack_rows
 from dqi_bench.dqi import _even_syndromes
 from oracles import (
     bfs_distance,
+    boundary_system,
     build_path_list_sorted,
     format_circuit_gates,
     graph_adjacency,
+    greedy_decode_sets,
     matchings_bruteforce,
     min_length_decode_pairs,
     min_length_join,
@@ -44,6 +46,7 @@ from oracles import (
     path_lengths,
     run_program_per_gate,
     simulate_circuit_gates,
+    syndrome_words,
 )
 
 instances = st.builds(
@@ -260,7 +263,7 @@ def test_min_length_capacity_error(monkeypatch, ex1_paths, ex1_reduced):
 def test_min_length_refuses_before_any_pairing(monkeypatch, ex1_paths, ex1_reduced):
     # the offending syndrome comes last, yet no row is paired before the refusal
     x = ex1_reduced[0]
-    syn = np.array([[1, 1, 0, 0], [1, 1, 1, 1]], dtype=np.uint8)
+    syn = syndrome_words([[1, 1, 0, 0], [1, 1, 1, 1]])
     for name in ("_table_decode", "_memo_decode"):
         monkeypatch.setattr(decoder, name, lambda *args: pytest.fail("paired before the check"))
     monkeypatch.setattr(decoder, "_T_CAP", 2)
@@ -268,7 +271,7 @@ def test_min_length_refuses_before_any_pairing(monkeypatch, ex1_paths, ex1_reduc
         DECODERS["min-length"](ex1_paths, x, syn)
     monkeypatch.setattr(decoder, "_T_CAP", 22)
     with pytest.raises(ValidationError, match="odd syndrome parity"):
-        DECODERS["min-length"](ex1_paths, x, np.array([[1, 1, 0, 0], [1, 0, 0, 0]], dtype=np.uint8))
+        DECODERS["min-length"](ex1_paths, x, syndrome_words([[1, 1, 0, 0], [1, 0, 0, 0]]))
 
 
 def test_min_length_odd_parity_error(monkeypatch):
@@ -278,7 +281,7 @@ def test_min_length_odd_parity_error(monkeypatch):
     for table in MIN_LENGTH_PATHS:
         monkeypatch.setattr(decoder, "_use_table", lambda entries, rows: table)
         with pytest.raises(ValidationError, match="odd syndrome parity"):
-            DECODERS["min-length"](p, x, np.array([[1, 0, 1, 0]], dtype=np.uint8))
+            DECODERS["min-length"](p, x, syndrome_words([[1, 0, 1, 0]]))
 
 
 def test_exact_batches_take_the_table(monkeypatch):
@@ -358,10 +361,10 @@ def test_min_length_batch_matches_pairing_oracle(x, masks):
     p = build_path_list(build_graph(x))
     errors = [tuple((mask >> j) & 1 for j in range(x.m)) for mask in masks]
     syn = np.array([syndrome(x, y) for y in errors], dtype=np.uint8).reshape(len(errors), x.n_vars)
-    got = DECODERS["min-length"](p, x, syn)
-    assert got.shape == (len(errors), x.m) and got.dtype == np.uint8
-    for y, row, t in zip(errors, got.tolist(), syn.tolist()):
-        assert tuple(row) == min_length_decode_pairs(p, x, y).decoded_error
+    got = DECODERS["min-length"](p, x, syndrome_words(syn))
+    assert got.shape == (len(errors), -(-x.m // 64)) and got.dtype == np.uint64
+    for y, row, t in zip(errors, got, syn.tolist()):
+        assert np.array_equal(row, pack_rows([min_length_decode_pairs(p, x, y).decoded_error])[0])
         # per component, the lexicographically smallest minimum-weight matching
         by_comp = {}
         for v, bit in enumerate(t, start=1):
@@ -373,7 +376,7 @@ def test_min_length_batch_matches_pairing_oracle(x, masks):
             for pair in pairs:
                 for eid in p.entries[p.index[pair]].edges:
                     want[eid - 1] ^= 1
-        assert row == want
+        assert np.array_equal(row, pack_rows([want])[0])
 
 
 def test_min_length_batch_leaves_no_garbage(monkeypatch):
@@ -381,7 +384,7 @@ def test_min_length_batch_leaves_no_garbage(monkeypatch):
     inst = generate_instance(8, 3)
     x = reduced_system(inst)
     p = build_path_list(build_graph(x))
-    syn = np.array([syndrome(x, y) for y in weight_k_errors(x.m, 2)], dtype=np.uint8)
+    syn = syndrome_words([syndrome(x, y) for y in weight_k_errors(x.m, 2)])
     for table in MIN_LENGTH_PATHS:
         monkeypatch.setattr(decoder, "_use_table", lambda entries, rows: table)
         gc.collect()
@@ -404,12 +407,37 @@ def test_min_length_paths_match_on_every_even_syndrome(x):
     packed = _even_syndromes(g.component, x.n_vars)
     syn = np.unpackbits(packed, axis=1, count=x.n_vars + 1, bitorder="little")[:, 1:]
     want = np.array([min_length_join(p, x, t) for t in syn.tolist()], dtype=np.uint8)
-    want = want.reshape(len(syn), x.m)
+    want = pack_rows(want.reshape(len(syn), x.m))
     for table in MIN_LENGTH_PATHS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(decoder, "_use_table", lambda entries, rows: table)
-            got = DECODERS["min-length"](p, x, syn)
-        assert got.dtype == np.uint8 and np.array_equal(got, want)
+            got = DECODERS["min-length"](p, x, packed.view("<u8"))
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_vars, m", [(63, 64), (63, 65), (64, 64), (64, 65)])
+def test_decoders_take_and_return_packed_words(n_vars, m):
+    # syndromes of 63 and 64 variables fill one and two words; errors of 64
+    # and 65 rows fill one word, or spill one row into a second
+    x = boundary_system(n_vars, m)
+    p = build_path_list(build_graph(x))
+    errors = [(j,) for j in range(m)] + [(j, m - 1 - j) for j in range(m // 2)] + [()]
+    ys = [tuple(int(j in e) for j in range(m)) for e in errors]
+    syn = syndrome_words([syndrome(x, y) for y in ys])
+    assert syn.shape == (len(ys), n_vars // 64 + 1)
+    want = {
+        name: pack_rows([oracle(p, x, y).decoded_error for y in ys])
+        for name, oracle in (("greedy", greedy_decode_sets), ("min-length", min_length_decode_pairs))
+    }
+    for table in MIN_LENGTH_PATHS:  # only the min-length decoder has two paths
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decoder, "_use_table", lambda entries, rows: table)
+            got = {name: decode(p, x, syn) for name, decode in DECODERS.items()}
+        for name, words in got.items():
+            assert words.dtype == np.uint64 and words.shape == (len(ys), -(-m // 64))
+            bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+            assert not bits[:, m:].any()  # the padding bits are 0
+            assert np.array_equal(words, want[name]), (name, table)
 
 
 # ----------------------------------------------------------------- circuit

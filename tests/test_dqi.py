@@ -29,15 +29,19 @@ from dqi_bench import (
     syndrome,
 )
 from dqi_bench import dqi
+from dqi_bench.decoder import pack_rows
 from dqi_bench.dqi import sample_shell_error
 from oracles import (
     amplitude_oracle,
+    boundary_system,
     decoded_sets_loop,
+    error_bits,
     failure_profile_mc_loop,
     p_exact_rowproduct,
     parity_systems,
     profile_of_sets,
     shell_sum_bruteforce,
+    syndrome_words,
 )
 
 instances = st.builds(
@@ -164,13 +168,13 @@ def test_exact_profile_budget(monkeypatch, ex1_reduced):
 
 
 def test_exact_budget_follows_the_degree():
-    # 22 variables in one path: degree 1 decodes 1 + C(22, 2) = 232 syndromes
-    # of the 2^21 even ones, so it stays exact where the full degree refuses
-    rows = tuple((i, i + 1) for i in range(1, 22))
-    x = XorsatInstance(n_vars=22, rows=rows, targets=(0,) * 21)
+    # 23 variables in one path: degree 1 decodes 1 + C(23, 2) = 254 syndromes
+    # of the 2^22 even ones, so it stays exact where the full degree refuses
+    rows = tuple((i, i + 1) for i in range(1, 23))
+    x = XorsatInstance(n_vars=23, rows=rows, targets=(0,) * 22)
     assert failure_profile_exact("greedy", x, 1).eps == (0.0, 0.0)
-    with pytest.raises(CapacityError, match="2097152 syndromes"):
-        failure_profile_exact("greedy", x, 11)
+    with pytest.raises(CapacityError, match="4194304 syndromes"):
+        failure_profile_exact("greedy", x, 12)
 
 
 def test_mc_profile_enumeration_branch(ex1_reduced, ex1_paths):
@@ -271,20 +275,6 @@ def test_profiles_and_densities_past_one_word():
         assert p_opt_exact(x, assigns, weights, exact, c_dqi=1.0).p_opt == want
 
 
-def boundary_system(n_vars, m):
-    # components of up to 8 variables (at least 5), each a path; chords within
-    # them come first, so the paths' last rows sit past the errors' word boundaries
-    comps = [range(lo, min(lo + 8, n_vars + 1)) for lo in range(1, n_vars + 1, 8)]
-    path = [(v, v + 1) for c in comps for v in c[:-1]]
-    chords = []
-    for j in range(m - len(path)):
-        c, t = comps[j % len(comps)], j // len(comps)
-        a = c[0] + t % (len(c) - 4)
-        chords.append((a, a + 3 + t // (len(c) - 4) % 2))
-    rows = tuple(chords + path)
-    return XorsatInstance(n_vars=n_vars, rows=rows, targets=tuple(j % 2 for j in range(m)))
-
-
 @pytest.mark.parametrize("n_vars, m", [(62, 63), (63, 64), (64, 65), (63, 128), (64, 129)])
 def test_profiles_across_word_boundaries(n_vars, m):
     # errors of 63, 64, 65, 128 and 129 rows; syndromes of 62, 63 and 64 variables
@@ -307,8 +297,8 @@ def brute_force_sets(decode, x, l):
         errors = np.array(list(combinations(range(x.m), k)), dtype=np.int64).reshape(comb(x.m, k), k)
         y = np.zeros((len(errors), x.m), dtype=np.uint8)
         np.put_along_axis(y, errors, 1, axis=1)
-        syn = np.array([syndrome(x, row) for row in y.tolist()], dtype=np.uint8)
-        ok = (decode(paths, x, syn.reshape(len(y), x.n_vars)) == y).all(axis=1)
+        syn = syndrome_words(np.array([syndrome(x, row) for row in y.tolist()]).reshape(len(y), x.n_vars))
+        ok = (decode(paths, x, syn) == pack_rows(y)).all(axis=1)
         sets.append(errors[ok])
     return sets
 
@@ -317,7 +307,7 @@ def test_profile_counts_only_exact_decodes(monkeypatch, ex1_reduced):
     # a decoder answering every nonzero syndrome with all rows covers each
     # weight-1 error's position, yet returns a different error
     def all_rows(p, x, syndromes):
-        return np.repeat(syndromes.any(axis=1, keepdims=True), x.m, axis=1).astype(np.uint8)
+        return pack_rows(np.repeat(syndromes.any(axis=1, keepdims=True), x.m, axis=1))
 
     monkeypatch.setitem(dqi.DECODERS, "greedy", all_rows)
     assert failure_profile_exact("greedy", ex1_reduced[0], 1).eps == (0.0, 1.0)
@@ -334,8 +324,8 @@ def test_profile_checks_each_decoded_syndrome(monkeypatch, x):
 
     def rotating(p, x, syndromes):
         out = decode(p, x, syndromes)
-        hit = syndromes[:, 0] != 0
-        out[hit] = np.roll(out[hit], 1, axis=1)
+        hit = syndromes[:, 0] & np.uint64(2) != 0  # vertex 1 is bit 1
+        out[hit] = pack_rows(np.roll(error_bits(out[hit], x.m), 1, axis=1))
         return out
 
     monkeypatch.setitem(dqi.DECODERS, "greedy", rotating)
