@@ -34,18 +34,21 @@ The scan translates gate-for-gate into a reversible circuit of
 CNOT/Toffoli gates over three registers (syndrome, one flag qubit per
 path, error), which is what makes it attractive as an in-circuit decoder.
 
-A gate list compiles once, on first use, into three flat int columns
-(control 1, control 2, target word index) and the starts of its control
-runs, checking every gate's shape and every wire before any gate runs.  A
-control run is a maximal stretch of consecutive gates with the same two
-controls in which no target is one of those controls, so the controls
-hold still across it.  One interpreter loop reads ``fire = w[c1] & w[c2]``
-once per run over Python-int words, bit b of each word being basis state
-b, skips the run when it is 0 and otherwise XORs it into each target:
-``simulate_circuit_batch`` runs a whole batch of basis states in one pass,
-and ``simulate_circuit`` is a batch of one.  The circuit file is formatted
-from the same columns, one precomputed name per wire, and written in
-chunks of lines.
+A gate list is held as its program: three flat int columns (control 1,
+control 2, target word index), a kind column (a CX or a CCX) and the
+starts of its control runs.  ``emit_circuit`` writes those columns as it
+walks the path list; a list built from gate tuples compiles them once, on
+first use, checking every gate's shape and every wire before any gate
+runs, and the tuples of an emitted list are derived from the columns on
+request.  A control run is a maximal stretch of consecutive gates with the
+same two controls in which no target is one of those controls, so the
+controls hold still across it.  One interpreter loop reads
+``fire = w[c1] & w[c2]`` once per run over Python-int words, bit b of each
+word being basis state b, skips the run when it is 0 and otherwise XORs it
+into each target: ``simulate_circuit_batch`` runs a whole batch of basis
+states in one pass, and ``simulate_circuit`` is a batch of one.  The
+circuit file is formatted from the same columns, one precomputed name per
+wire, and written in chunks of lines.
 """
 from __future__ import annotations
 
@@ -117,16 +120,19 @@ class DecodeOutcome:
 
 
 class Program(NamedTuple):
-    """A gate list compiled to flat columns: gate i is ``t[i] ^= c1[i] & c2[i]`` on words.
+    """A gate list as flat columns: gate i is ``t[i] ^= c1[i] & c2[i]`` on words.
 
-    ``runs`` holds the index of the first gate of each control run, then
-    the gate count, so run r is gates ``runs[r]:runs[r + 1]``.
+    ``kind[i]`` is gate i's number of controls: 1 for a CX, which repeats
+    its control in ``c2``, and 2 for a CCX, which may name one control
+    twice.  ``runs`` holds the index of the first gate of each control run,
+    then the gate count, so run r is gates ``runs[r]:runs[r + 1]``.
     """
 
     c1: list[int]
     c2: list[int]
     t: list[int]
     runs: list[int]
+    kind: bytes
 
 
 def _wires(gl: GateList) -> list[tuple[str, int]]:
@@ -135,67 +141,78 @@ def _wires(gl: GateList) -> list[tuple[str, int]]:
     return [(reg, i) for reg, size in sizes for i in range(1, size + 1)]
 
 
-def _checked(gate, index: dict) -> tuple[int, int, int]:
-    """The (control 1, control 2, target) words of one gate, or the ValidationError it earns."""
-    kind, *wires = gate
-    if not (kind == "CX" and len(wires) == 2 or kind == "CCX" and len(wires) == 3):
-        raise ValidationError(f"malformed circuit: bad gate {gate!r}")
-    words = []
-    for reg, i in (wires[-1], *wires[:-1]):  # the target first
-        if (reg, i) not in index:
-            raise ValidationError(f"malformed circuit: wire {reg}:{i} out of range")
-        words.append(index[reg, i])
-    t, *ctrls = words
-    return ctrls[0], ctrls[-1], t
+def _compile(gl: GateList) -> Program:
+    """Compile gate tuples into a ``Program``, checking every gate's shape and every wire."""
+    index = {wire: word for word, wire in enumerate(_wires(gl))}
+    c1s, c2s, ts, runs, kinds = [], [], [], [], bytearray()
+    run_c1 = -1  # the open run's controls; -1 when no run is open
+    run_c2 = -1
+    for gate in gl.gates:
+        kind, *wires = gate
+        if not (kind == "CX" and len(wires) == 2 or kind == "CCX" and len(wires) == 3):
+            raise ValidationError(f"malformed circuit: bad gate {gate!r}")
+        words = []
+        for reg, i in (wires[-1], *wires[:-1]):  # the target first
+            if (reg, i) not in index:
+                raise ValidationError(f"malformed circuit: wire {reg}:{i} out of range")
+            words.append(index[reg, i])
+        t, c1, *rest = words
+        c2 = rest[0] if rest else c1
+        if t == c1 or t == c2:  # a run by itself
+            runs.append(len(ts))
+            run_c1 = -1
+        elif c1 != run_c1 or c2 != run_c2:
+            runs.append(len(ts))
+            run_c1, run_c2 = c1, c2
+        c1s.append(c1)
+        c2s.append(c2)
+        ts.append(t)
+        kinds.append(len(wires) - 1)
+    runs.append(len(ts))
+    return Program(c1s, c2s, ts, runs, bytes(kinds))
 
 
-@dataclass(frozen=True)
 class GateList:
     """A reversible circuit over the syndrome, path and error registers.
 
-    ``program`` is the gate list compiled once, on first use, into three
-    flat columns of word indices over the registers laid end to end
-    (control 1, control 2, target; a CX repeats its control), plus the
-    start of each control run: a maximal stretch of consecutive gates with
-    the same two controls in which no target is one of those controls.  A
-    gate whose target is one of its controls is a run by itself.  Every
-    gate's shape and every wire's register and range are checked then,
-    before any gate runs.
+    Its one representation is ``program``: flat columns of word indices over
+    the registers laid end to end (control 1, control 2, target), each
+    gate's kind, and the start of each control run, a maximal stretch of
+    consecutive gates with the same two controls in which no target is one
+    of those controls.  A gate whose target is one of its controls is a
+    run by itself.  ``emit_circuit`` writes the program directly.
+    ``GateList(n_syndrome, n_path, n_error, gates)`` takes gate tuples,
+    ``("CX", ctrl, tgt)`` or ``("CCX", c1, c2, tgt)`` over wires
+    ``("v"|"p"|"e", i)``, and compiles them once, on first use, checking
+    every gate's shape and every wire's register and range before any gate
+    runs.  ``gates`` of an emitted list is derived from the program on
+    request, one tuple per wire shared by every gate on it.
     """
 
-    n_syndrome: int
-    n_path: int
-    n_error: int
-    gates: tuple[tuple, ...]  # ("CX", ctrl, tgt) or ("CCX", c1, c2, tgt), wires ("v"|"p"|"e", i)
+    def __init__(self, n_syndrome: int, n_path: int, n_error: int, gates):
+        self.n_syndrome = n_syndrome
+        self.n_path = n_path
+        self.n_error = n_error
+        self.gates = gates
+
+    @classmethod
+    def _of_program(cls, n_syndrome: int, n_path: int, n_error: int, program: Program) -> GateList:
+        gl = cls.__new__(cls)
+        gl.n_syndrome, gl.n_path, gl.n_error, gl.program = n_syndrome, n_path, n_error, program
+        return gl
+
+    @cached_property
+    def gates(self) -> tuple[tuple, ...]:
+        wires = _wires(self)
+        c1, c2, targets, _, kind = self.program
+        return tuple([
+            ("CX", wires[a], wires[t]) if k == 1 else ("CCX", wires[a], wires[b], wires[t])
+            for k, a, b, t in zip(kind, c1, c2, targets)
+        ])
 
     @cached_property
     def program(self) -> Program:
-        index = {wire: word for word, wire in enumerate(_wires(self))}
-        c1s, c2s, ts, runs = [], [], [], []
-        run_c1 = -1  # the open run's controls; -1 when no run is open
-        run_c2 = -1
-        for gate in self.gates:
-            try:  # the common case; anything unusual gets the full check
-                if gate[0] == "CX" and len(gate) == 3:
-                    c1 = c2 = index[gate[1]]
-                    t = index[gate[2]]
-                elif gate[0] == "CCX" and len(gate) == 4:
-                    c1, c2, t = index[gate[1]], index[gate[2]], index[gate[3]]
-                else:
-                    c1, c2, t = _checked(gate, index)
-            except (KeyError, TypeError, IndexError):
-                c1, c2, t = _checked(gate, index)
-            if t == c1 or t == c2:  # a run by itself
-                runs.append(len(ts))
-                run_c1 = -1
-            elif c1 != run_c1 or c2 != run_c2:
-                runs.append(len(ts))
-                run_c1, run_c2 = c1, c2
-            c1s.append(c1)
-            c2s.append(c2)
-            ts.append(t)
-        runs.append(len(ts))
-        return Program(c1s, c2s, ts, runs)
+        return _compile(self)
 
 
 @dataclass(frozen=True)
@@ -257,24 +274,33 @@ def build_path_list(g: ConstraintGraph) -> PathList:
     In the tree of target v every vertex steps to its smallest neighbour one
     hop closer to v, so each stored path is the lexicographically smallest
     shortest vertex sequence, which keeps the list platform-independent.
+    The BFS visits each level in ascending order, so the first vertex to
+    reach a vertex of the next level is that smallest closer neighbour.
     Paths to v share their suffixes.  Pairs in different components are
     omitted.
     """
     adjacency, pairs = g.adjacency, g.pairs
     rows = []  # (length, u, v, edges): sorting them sorts by (length, u, v)
     for v in range(1, g.n_vertices + 1):
-        dist = _bfs(adjacency, v)
         to_v = {v: ()}
-        for w, d in dist.items():  # BFS order: every step is settled before its vertex
-            if w != v:
-                for step in adjacency[w]:
-                    if dist[step] < d:
-                        break
-                to_v[w] = (pairs[(w, step) if w < step else (step, w)],) + to_v[step]
-        rows.extend([(dist[u], u, v, to_v[u]) for u in dist if u < v])
+        level = [v]
+        length = 0
+        while level:
+            length += 1
+            reached = []
+            for step in level:
+                tail = to_v[step]
+                for w in adjacency[step]:
+                    if w not in to_v:
+                        to_v[w] = (pairs[(w, step) if w < step else (step, w)],) + tail
+                        reached.append(w)
+            reached.sort()
+            rows += [(length, u, v, to_v[u]) for u in reached if u < v]
+            level = reached
     rows.sort()
-    index = {(u, v): i for i, (_, u, v, _) in enumerate(rows)}
-    entries = tuple([PathEntry(u, v, edges, length) for length, u, v, edges in rows])
+    new = tuple.__new__  # skips the named tuple's argument handling
+    entries = tuple([new(PathEntry, (u, v, edges, length)) for length, u, v, edges in rows])
+    index = dict(zip([(u, v) for _, u, v, _ in rows], range(len(rows))))
     return PathList(entries=entries, component=g.component, index=index)
 
 
@@ -581,36 +607,48 @@ def code_distance(x: XorsatInstance, cap: int = 12, *, graph: ConstraintGraph | 
 
 
 def emit_circuit(p: PathList, g: ConstraintGraph) -> GateList:
-    """Reversible circuit for the greedy scan.
+    """Reversible circuit for the greedy scan, written straight into its program columns.
 
     Per path i with endpoints (u, v): a Toffoli marks the path qubit when
     both syndrome bits are set, then path-controlled CNOTs flip the path's
     error-register bits and clear the two syndrome bits.  A final pass
     re-applies the syndrome CNOTs to restore the syndrome register; the
-    path register is left as garbage.  Each wire is one tuple, shared by
-    every gate on it, and the restore pass reuses each path's two clearing
-    gates.
+    path register is left as garbage.  Wire ``v:u`` is word u - 1, ``p:i``
+    word n_syndrome + i - 1 and ``e:j`` word n_syndrome + n_path + j - 1;
+    every column entry is the one int object of its word.  Each path is
+    two control runs, its Toffoli and its CNOTs, and its restoring pair is
+    a third, unless it is the only path, whose restoring pair continues its
+    CNOT run.
     """
-    v_wire = [("v", i) for i in range(g.n_vertices + 1)]  # entry 0 unused
-    e_wire = [("e", j) for j in range(len(g.edges) + 1)]
-    gates, restore = [], []
-    for i, entry in enumerate(p.entries, start=1):
-        pq = ("p", i)
-        vu, vv = v_wire[entry.u], v_wire[entry.v]
-        clear_u, clear_v = ("CX", pq, vu), ("CX", pq, vv)
-        gates.append(("CCX", vu, vv, pq))
-        gates.extend([("CX", pq, e_wire[eid]) for eid in entry.edges])
-        gates.append(clear_u)
-        gates.append(clear_v)
-        restore.append(clear_u)
-        restore.append(clear_v)
-    gates.extend(restore)
-    return GateList(
-        n_syndrome=g.n_vertices,
-        n_path=len(p.entries),
-        n_error=len(g.edges),
-        gates=tuple(gates),
-    )
+    n_s, n_p, n_e = g.n_vertices, len(p.entries), len(g.edges)
+    word = list(range(n_s + n_p + n_e))
+    e_word = word[n_s + n_p - 1 :].__getitem__  # e_word(j) is e:j's word, j >= 1
+    paths = word[n_s : n_s + n_p]
+    c1, c2, t, runs, ends, kind = [], [], [], [], [], bytearray()
+    start = 0  # the Toffoli of the current path
+    for (u, v, edges, length), pq in zip(p.entries, paths):
+        vu, vv = word[u - 1], word[v - 1]
+        runs += (start, start + 1)
+        start += length + 3
+        c1.append(vu)
+        c2.append(vv)
+        t.append(pq)
+        cx = [pq] * (length + 2)
+        c1 += cx
+        c2 += cx
+        t += map(e_word, edges)
+        t += (vu, vv)
+        ends += (vu, vv)
+        kind += b"\x02" + b"\x01" * (length + 2)
+    restore = range(start, start + 2 * n_p, 2)
+    runs += restore[1:] if n_p == 1 else restore
+    controls = [pq for pq in paths for _ in (0, 1)]
+    c1 += controls
+    c2 += controls
+    t += ends
+    kind += b"\x01" * len(ends)
+    runs.append(len(t))
+    return GateList._of_program(n_s, n_p, n_e, Program(c1, c2, t, runs, bytes(kind)))
 
 
 def _run(program: Program, words: list[int]) -> None:
@@ -619,7 +657,7 @@ def _run(program: Program, words: list[int]) -> None:
     The controls of a run hold still across it, so ``fire`` is read once
     per run, and a run that does not fire is skipped whole.
     """
-    c1, c2, targets, runs = program
+    c1, c2, targets, runs, _ = program
     for start, end in zip(runs, runs[1:]):
         fire = words[c1[start]] & words[c2[start]]
         if fire:
@@ -691,15 +729,14 @@ def gate_cost(p: PathList) -> GateCost:
 
 def _circuit_chunks(gl: GateList):
     """The circuit file as strings of up to ``_CHUNK_LINES`` lines, formatted from ``gl.program``."""
-    c1, c2, targets, _ = gl.program
+    c1, c2, targets, _, kind = gl.program
     names = [f"{reg}:{i}" for reg, i in _wires(gl)]
     yield f"REGISTERS syndrome={gl.n_syndrome} path={gl.n_path} error={gl.n_error}\n"
-    gates = gl.gates
-    for lo in range(0, len(gates), _CHUNK_LINES):
+    for lo in range(0, len(targets), _CHUNK_LINES):
         hi = lo + _CHUNK_LINES
         yield "".join([
-            f"CX {names[a]} {names[t]}\n" if gate[0] == "CX" else f"CCX {names[a]} {names[b]} {names[t]}\n"
-            for gate, a, b, t in zip(gates[lo:hi], c1[lo:hi], c2[lo:hi], targets[lo:hi])
+            f"CX {names[a]} {names[t]}\n" if k == 1 else f"CCX {names[a]} {names[b]} {names[t]}\n"
+            for k, a, b, t in zip(kind[lo:hi], c1[lo:hi], c2[lo:hi], targets[lo:hi])
         ])
 
 

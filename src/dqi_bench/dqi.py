@@ -16,7 +16,7 @@ the decoder to D_k: weights are popcounts, each error's own syndrome is
 checked against T on words, and no pipeline run forms positions.  That
 syndrome batch depends only on the instance and l, so decoders sharing an
 instance share one build of it.  The Monte Carlo profile samples errors
-and decodes each distinct syndrome among them once.
+and decodes all of their syndromes in one batch.
 Each profile is one decoder batch.  The sampler owns its random stream: a
 drawn shell equals numpy 2.4.6's per-draw ``default_rng((seed, k,
 draw)).choice``, replayed in-package for all draws at once, so sampled
@@ -217,19 +217,19 @@ def _shell_successes(
 
     A shell holds one error per row, as k 0-based positions, and
     ``syndromes`` holds their syndromes, ``_shell_syndromes(x, shells)``.
-    Each distinct syndrome across all shells is decoded once, in one batch.
+    All rows are decoded in one batch, as they are: the decoders are
+    deterministic per row, and almost every drawn syndrome is distinct, so
+    removing repeats would cost more than decoding them.
     """
     if decoder not in DECODERS:
         raise ValidationError(f"unknown decoder {decoder!r}")
     if paths is None:
         paths = build_path_list(build_graph(x))
-    keys = syndromes.view(np.dtype((np.void, syndromes.itemsize * syndromes.shape[1]))).ravel()
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    decoded = DECODERS[decoder](paths, x, distinct.view(syndromes.dtype).reshape(len(distinct), -1))
+    decoded = DECODERS[decoder](paths, x, syndromes)
     unit = pack_rows(np.eye(x.m, dtype=np.uint8))  # row j's error as words
     return [
-        (decoded[idx] == np.bitwise_or.reduce(unit[pos], axis=1)).all(axis=1)
-        for pos, idx in zip(shells, np.split(inverse, np.cumsum([len(s) for s in shells])[:-1]))
+        (rows == np.bitwise_or.reduce(unit[pos], axis=1)).all(axis=1)
+        for pos, rows in zip(shells, np.split(decoded, np.cumsum([len(s) for s in shells])[:-1]))
     ]
 
 

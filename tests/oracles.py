@@ -418,6 +418,54 @@ def format_circuit_gates(gl: GateList) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _checked_gate(gate, index: dict) -> tuple[int, int, int]:
+    """The (control 1, control 2, target) words of one gate, or the ValidationError it earns."""
+    kind, *wires = gate
+    if not (kind == "CX" and len(wires) == 2 or kind == "CCX" and len(wires) == 3):
+        raise ValidationError(f"malformed circuit: bad gate {gate!r}")
+    words = []
+    for reg, i in (wires[-1], *wires[:-1]):  # the target first
+        if (reg, i) not in index:
+            raise ValidationError(f"malformed circuit: wire {reg}:{i} out of range")
+        words.append(index[reg, i])
+    t, *ctrls = words
+    return ctrls[0], ctrls[-1], t
+
+
+def compile_gates(gl: GateList) -> Program:
+    """Compile ``gl.gates`` tuple by tuple, as the library compiled every gate list before emission
+    wrote the columns itself: a fast path per well-formed gate, the full check for anything else."""
+    sizes = (("v", gl.n_syndrome), ("p", gl.n_path), ("e", gl.n_error))
+    wires = [(reg, i) for reg, size in sizes for i in range(1, size + 1)]
+    index = {wire: word for word, wire in enumerate(wires)}
+    c1s, c2s, ts, runs, kinds = [], [], [], [], []
+    run_c1 = -1  # the open run's controls; -1 when no run is open
+    run_c2 = -1
+    for gate in gl.gates:
+        try:  # the common case; anything unusual gets the full check
+            if gate[0] == "CX" and len(gate) == 3:
+                c1 = c2 = index[gate[1]]
+                t = index[gate[2]]
+            elif gate[0] == "CCX" and len(gate) == 4:
+                c1, c2, t = index[gate[1]], index[gate[2]], index[gate[3]]
+            else:
+                c1, c2, t = _checked_gate(gate, index)
+        except (KeyError, TypeError, IndexError):
+            c1, c2, t = _checked_gate(gate, index)
+        if t == c1 or t == c2:  # a run by itself
+            runs.append(len(ts))
+            run_c1 = -1
+        elif c1 != run_c1 or c2 != run_c2:
+            runs.append(len(ts))
+            run_c1, run_c2 = c1, c2
+        c1s.append(c1)
+        c2s.append(c2)
+        ts.append(t)
+        kinds.append(1 if gate[0] == "CX" else 2)  # the number of controls
+    runs.append(len(ts))
+    return Program(c1s, c2s, ts, runs, bytes(kinds))
+
+
 def run_program_per_gate(program: Program, words: list[int]) -> None:
     """Apply a compiled program gate by gate, reading both controls for every gate."""
     for c1, c2, t in zip(program.c1, program.c2, program.t):

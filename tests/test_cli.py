@@ -7,6 +7,7 @@ from dqi_bench import (
     bench,
     dqi,
     encode_icc,
+    instances,
     generate_instance,
     read_instance,
     read_xorsat,
@@ -260,6 +261,22 @@ def test_validation_error_exits_2(tmp_path, capsys):
     assert main(["bench", "-i", str(bad), "-o", str(report)]) == 2
     assert main(["bench", "-o", str(report)]) == 2  # neither -i nor --n-cars
     assert main(["validate-approx", "--n-list", "a", "-o", str(report)]) == 2
+
+
+def test_gen_refuses_past_the_car_cap_before_any_draw(monkeypatch, tmp_path, capsys):
+    def refuse(seed):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(instances.np.random, "default_rng", refuse)
+    out = tmp_path / "inst.json"
+    for n_cars in (instances.MAX_CARS + 1, 100_000_000):
+        assert main(["gen", "--n-cars", str(n_cars), "--seed", "0", "-o", str(out)]) == 3
+        assert f"{n_cars} cars exceed the generation cap of {instances.MAX_CARS}" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(instances, "MAX_CARS", 5)
+    assert main(["gen", "--n-cars", "5", "--seed", "0", "-o", str(out)]) == 0
+    assert main(["gen", "--n-cars", "6", "--seed", "0", "-o", str(out)]) == 3
 
 
 def test_capacity_error_exits_3(tmp_path, capsys):

@@ -36,6 +36,7 @@ from oracles import (
     bfs_distance,
     boundary_system,
     build_path_list_sorted,
+    compile_gates,
     format_circuit_gates,
     graph_adjacency,
     greedy_decode_sets,
@@ -634,6 +635,64 @@ def test_control_run_broken_by_a_gate_onto_its_control():
     assert simulate_circuit(GateList(2, 2, 2, gates), (0, 0), (1, 0)) == ((1, 1), (1, 0), (1, 0))
 
 
+def compiled_or_error(compile_, gl):
+    """A gate list's program, or the message of the ValidationError its compile raises."""
+    try:
+        return compile_(gl)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@st.composite
+def user_gate_lists(draw):
+    """A gate list of random register sizes whose gates may be malformed or name wires out of range."""
+    sizes = [draw(st.integers(0, 3)) for _ in "vpe"]
+    wire = st.tuples(st.sampled_from("vpeq"), st.integers(0, 4))
+    gate = st.one_of(
+        st.tuples(st.sampled_from(["CX", "CCX", "CZ"]), wire, wire),
+        st.tuples(st.sampled_from(["CX", "CCX"]), wire, wire, wire),
+        st.tuples(st.just("CX"), wire),
+    )
+    return GateList(*sizes, tuple(draw(st.lists(gate, max_size=12))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(gate_lists(), user_gate_lists()))
+@example(GateList(1, 1, 1, (
+    ("CCX", ("v", 1), ("v", 1), ("p", 1)),  # a Toffoli with one control twice
+    ("CX", ("p", 1), ("p", 1)),  # a CNOT onto its own control
+    ("CCX", ("e", 1), ("v", 1), ("e", 1)),  # a Toffoli onto one of its controls
+)))
+@example(GateList(1, 1, 1, (("CX", ("v", 1), ("e", 1)), ("CX", ("e", 1), ("v", 2)))))
+def test_user_lists_compile_as_oracle(gl):
+    assert compiled_or_error(lambda gl: gl.program, gl) == compiled_or_error(compile_gates, gl)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(instances.map(reduced_system), parity_systems()))
+def test_emitted_columns_match_compiled_gates(x):
+    g = build_graph(x)
+    gl = emit_circuit(build_path_list(g), g)
+    want = compile_gates(gl)  # from the gates derived off the emitted columns
+    assert gl.program == want
+    assert GateList(gl.n_syndrome, gl.n_path, gl.n_error, gl.gates).program == want
+    assert format_circuit(gl) == format_circuit_gates(gl)
+    words = gl.n_syndrome + gl.n_path + gl.n_error
+    assert len({id(w) for w in [*gl.program.c1, *gl.program.c2, *gl.program.t]}) <= words
+    assert len({id(w) for gate in gl.gates for w in gate[1:]}) <= words
+
+
+def test_emitted_list_is_never_compiled(monkeypatch, ex1_paths, ex1_graph, ex1_reduced):
+    def refuse(gl):
+        raise AssertionError("an emitted gate list was compiled from tuples")
+
+    monkeypatch.setattr(decoder, "_compile", refuse)
+    gl = emit_circuit(ex1_paths, ex1_graph)
+    y = (0, 0, 0, 0, 1)
+    assert simulate_circuit(gl, y, syndrome(ex1_reduced[0], y))[2] == (0, 1, 0, 0, 1)
+    assert format_circuit(gl) == format_circuit_gates(gl)
+
+
 class CountingWords(list):
     """Words that count how often the interpreter reads one."""
 
@@ -709,6 +768,8 @@ def test_simulate_rejects_malformed_gate_lists(gates, message):
     gl = GateList(n_syndrome=2, n_path=1, n_error=2, gates=gates)
     with pytest.raises(ValidationError, match=message):
         format_circuit(gl)
+    with pytest.raises(ValidationError, match=message):
+        compile_gates(gl)
     ones = (1, 1)
     with pytest.raises(ValidationError, match=message):
         simulate_circuit_gates(gl, ones, ones)  # all wires 1: the oracle reads every wire too
