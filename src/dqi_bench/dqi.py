@@ -20,8 +20,13 @@ and decodes all of their syndromes in one batch.
 Each profile is one decoder batch.  The sampler owns its random stream: a
 drawn shell equals numpy 2.4.6's per-draw ``default_rng((seed, k,
 draw)).choice``, replayed in-package for all draws at once, so sampled
-profiles no longer depend on the installed numpy.  Probability arithmetic
-is 64-bit float; binomial coefficients and shell sums are exact integers
+profiles no longer depend on the installed numpy.  The replay
+(``_stream``) hashes the seed words once, steps PCG64 on two uint64
+halves, and runs Floyd's steps in one pass with a per-draw bitset of the
+values chosen; the rare draw with a rejected Lemire step is replayed
+alone, step by step.  The Monte Carlo shells are refused over
+``MC_POSITION_BUDGET`` error positions before any is built.
+Probability arithmetic is 64-bit float; binomial coefficients and shell sums are exact integers
 converted as late as possible.  A shell sum is a Walsh-Hadamard
 coefficient of the shell's signed syndrome state (Jordan et al.,
 arXiv:2408.08292): one table lookup per byte of a packed D_k row gives its
@@ -51,6 +56,9 @@ _RESIDUAL_TOL = 1e-11
 ENUMERATION_BUDGET = 1 << 21  # even syndromes an exact profile may decode
 _DENSITY_CHUNK = 1 << 16  # (assignment, D_k row) parities evaluated at once
 DEFAULT_SAMPLES = 2000
+# error positions the shells of a Monte Carlo profile may hold, sum_k min(C(m, k), samples) * k:
+# 128 MiB as int64; a 100-car sweep to k = 100 at the default samples holds about 10M
+MC_POSITION_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -91,13 +99,13 @@ def dicke_weights(m: int, l: int) -> DickeWeights:
     converged = False
     for _ in range(POWER_ITERATION_CAP):
         w_next = matvec(w) + shift * w
-        w_next /= np.linalg.norm(w_next)
-        change = float(np.max(np.abs(w_next - w)))
+        w_next /= sqrt(w_next.dot(w_next))  # numpy's own 1-D norm
+        change = float(np.abs(w_next - w).max())
         w = w_next
         if change <= _CHANGE_TOL:
             aw = matvec(w)
             lam = float(w @ aw)
-            if float(np.max(np.abs(aw - lam * w))) <= _RESIDUAL_TOL:
+            if float(np.abs(aw - lam * w).max()) <= _RESIDUAL_TOL:
                 converged = True
                 break
     if not converged:
@@ -106,7 +114,7 @@ def dicke_weights(m: int, l: int) -> DickeWeights:
         w = -w
     aw = matvec(w)
     lam = float(w @ aw)
-    residual = float(np.max(np.abs(aw - lam * w)))
+    residual = float(np.abs(aw - lam * w).max())
     if residual > 1e-10 or not np.all(w > 0):
         raise CapacityError(
             f"eigenvector quality check failed for (m={m}, l={l}): residual {residual:.2e}"
@@ -422,8 +430,10 @@ def mc_shells(
     Shells with at most ``samples`` errors are enumerated exactly instead;
     draws are independent, so an error can be sampled more than once.  Each
     drawn shell is one ``sample_shell_error`` call, and its refusals are
-    checked for the heaviest drawn shell before any shell is drawn.  The
-    errors depend on (m, l, samples, seed) only, never on the decoder.  The
+    checked for the heaviest drawn shell before any shell is drawn or
+    enumerated, as is ``MC_POSITION_BUDGET``: shells holding more error
+    positions in all raise ``CapacityError``.  The errors depend on (m, l,
+    samples, seed) only, never on the decoder.  The
     syndromes of all shells, in order, are one (rows, n_vars // 64 + 1)
     uint64 array laid out like ``_incidence_words``, from one XOR pass.
     """
@@ -436,6 +446,12 @@ def mc_shells(
     drawn = [k for k, size in enumerate(sizes) if size > samples]
     if drawn:  # whatever refuses a drawn shell refuses the heaviest one
         _check_draws(m, drawn[-1], seed, samples)
+    positions = sum(min(size, samples) * k for k, size in enumerate(sizes))
+    if positions > MC_POSITION_BUDGET:
+        raise CapacityError(
+            f"Monte Carlo shells hold {positions} error positions (> budget "
+            f"{MC_POSITION_BUDGET}); lower the samples or the degree"
+        )
     shells = [
         sample_shell_error(m, k, seed, samples) if size > samples else _combinations(m, k)
         for k, size in enumerate(sizes)

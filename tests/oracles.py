@@ -31,7 +31,10 @@ from dqi_bench import (
 )
 from dqi_bench.decoder import ConstraintGraph, PathEntry, Program, pack_rows
 from dqi_bench.dqi import (
+    _CHANGE_TOL,
+    _RESIDUAL_TOL,
     DEFAULT_SAMPLES,
+    POWER_ITERATION_CAP,
     _check_weights_profile,
     normalization,
 )
@@ -218,6 +221,50 @@ def matchings_bruteforce(verts: tuple[int, ...], dist) -> list[tuple[int, tuple[
         for weight, pairs in matchings_bruteforce(remaining, dist):
             out.append((weight + dist[(min(pair), max(pair))], (pair,) + pairs))
     return out
+
+
+def dicke_weights_loop(m: int, l: int) -> DickeWeights:
+    """The per-shell weights by the same shifted power iteration as ``dicke_weights``,
+    with ``np.linalg.norm`` and ``np.max`` calls: the reference its trimmed arithmetic
+    must equal."""
+    if not 0 <= l <= m or m < 1:
+        raise ValidationError(f"degree l={l} out of range for m={m}")
+    if l == 0:
+        return DickeWeights(m=m, l=0, w=(1.0,), lambda_max=0.0)
+    a = np.sqrt(np.arange(1.0, l + 1) * (m - np.arange(1.0, l + 1) + 1.0))
+
+    def matvec(vec):
+        out = np.zeros_like(vec)
+        out[:-1] += a * vec[1:]
+        out[1:] += a * vec[:-1]
+        return out
+
+    shift = 2.0 * float(a.max()) + 1.0
+    w = np.full(l + 1, 1.0 / sqrt(l + 1))
+    converged = False
+    for _ in range(POWER_ITERATION_CAP):
+        w_next = matvec(w) + shift * w
+        w_next /= np.linalg.norm(w_next)
+        change = float(np.max(np.abs(w_next - w)))
+        w = w_next
+        if change <= _CHANGE_TOL:
+            aw = matvec(w)
+            lam = float(w @ aw)
+            if float(np.max(np.abs(aw - lam * w))) <= _RESIDUAL_TOL:
+                converged = True
+                break
+    if not converged:
+        raise CapacityError(f"power iteration failed to converge for (m={m}, l={l})")
+    if w[0] < 0:
+        w = -w
+    aw = matvec(w)
+    lam = float(w @ aw)
+    residual = float(np.max(np.abs(aw - lam * w)))
+    if residual > 1e-10 or not np.all(w > 0):
+        raise CapacityError(
+            f"eigenvector quality check failed for (m={m}, l={l}): residual {residual:.2e}"
+        )
+    return DickeWeights(m=m, l=l, w=tuple(float(v) for v in w), lambda_max=lam)
 
 
 def shell_sum_bruteforce(x: XorsatInstance, assign, k: int) -> int:

@@ -35,6 +35,7 @@ from oracles import (
     amplitude_oracle,
     boundary_system,
     decoded_sets_loop,
+    dicke_weights_loop,
     error_bits,
     failure_profile_mc_loop,
     p_exact_rowproduct,
@@ -86,6 +87,16 @@ def test_dicke_weights_grid_quality():
             a = np.sqrt(np.arange(1.0, l + 1) * (m - np.arange(1.0, l + 1) + 1.0))
             full = np.diag(a, 1) + np.diag(a, -1)
             assert np.max(np.abs(full @ w - dw.lambda_max * w)) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 160).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))))
+@example((1, 1))
+@example((45, 9))
+@example((157, 157))
+def test_dicke_weights_match_loop(shell):
+    m, l = shell
+    assert dicke_weights(m, l) == dicke_weights_loop(m, l)
 
 
 def test_dicke_weights_range_errors():

@@ -1,5 +1,6 @@
 """The in-package Monte Carlo stream: frozen draws, numpy differential, refusals."""
 import json
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,15 @@ def test_replay_takes_the_lemire_rejection_branch():
     assert rows.tolist() == case["rows"]
 
 
+def test_batch_with_a_redrawn_row_matches_row_by_row():
+    # draw 1116 redraws one Lemire step; the one-pass kernel replays it stepwise
+    rows, rejected = _stream.draw_rows(9999, 199, 0, 1110, 10)
+    assert rejected == 1
+    for i in range(10):
+        row, _ = _stream.draw_rows(9999, 199, 0, 1110 + i, 1)
+        assert rows[i].tolist() == row[0].tolist()
+
+
 shells = st.one_of(
     st.integers(1, 400).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
     st.sampled_from([9_999, 10_000, 10_001]).flatmap(
@@ -87,6 +97,38 @@ def test_replay_matches_numpy_at_the_last_draw_indices(shell, seed, back):
     first = 2**32 - 1 - back
     rows, _ = _stream.draw_rows(m, k, seed, first, back + 1)
     assert rows.tolist() == numpy_rows(m, k, seed, first, back + 1)
+
+
+# m at and around the bitset's 64-bit word edges, or any m; k of 0, 1, m - 1 (the
+# last step draws on [0, m - 1]), m (step 0 has a j of 0 and draws nothing), or any k
+kernel_shells = st.one_of(
+    st.sampled_from([63, 64, 65, 128, 129]), st.integers(1, 400)
+).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.one_of(st.sampled_from(sorted({0, 1, m - 1, m})), st.integers(0, m)),
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(kernel_shells, shells),
+    seeds,
+    st.integers(1, 40).flatmap(lambda count: st.tuples(
+        st.just(count),
+        st.one_of(st.integers(0, 2**32 - count), st.integers(2**32 - count - 3, 2**32 - count)),
+    )),
+)
+@example((1, 1), 0, (3, 0))
+@example((64, 64), 2**40 + 7, (5, 2**32 - 5))
+@example((9999, 199), 0, (10, 1110))
+def test_one_pass_kernel_matches_stepwise(shell, seed, span):
+    m, k = shell
+    count, first = span
+    rows, rejected = _stream.draw_rows(m, k, seed, first, count)
+    want, want_rejected = _stream.draw_rows_stepwise(m, k, seed, first, count)
+    assert rows.dtype == want.dtype and rows.shape == want.shape == (count, k)
+    assert rows.tolist() == want.tolist()
+    assert rejected == want_rejected
 
 
 def test_chunks_join_into_one_stream(monkeypatch):
@@ -150,6 +192,33 @@ def test_more_than_2_32_draws_refused(tmp_path, capsys, sampler_calls):
     argv = ["bench", "--n-cars", "8", "--samples", str(2**32), "--mode", "approx",
             "-o", str(tmp_path / "r.csv")]
     assert main(argv) == 0
+
+
+def test_position_budget_refused_before_any_shell(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("a shell was built")
+
+    monkeypatch.setattr(dqi, "_combinations", fail)
+    monkeypatch.setattr(dqi, "sample_shell_error", fail)
+    x = _reduced(24, 0)  # m = 41
+    # at 10^8 samples shell 7 is enumerated: C(41, 7) errors, 7 positions each, ~157M
+    with pytest.raises(CapacityError, match="error positions"):
+        dqi.mc_shells(x, 9, 10**8, 0)
+    argv = ["bench", "--n-cars", "24", "--mode", "approx", "--samples", str(10**8),
+            "-o", str(tmp_path / "r.csv")]
+    assert main(argv) == 3
+    assert "error positions" in capsys.readouterr().err
+
+
+def test_position_budget_counts_the_positions_held(monkeypatch):
+    x, l, samples = _reduced(12, 3), 5, 50
+    need = sum(min(comb(x.m, k), samples) * k for k in range(l + 1))
+    monkeypatch.setattr(dqi, "MC_POSITION_BUDGET", need)
+    shells, _ = dqi.mc_shells(x, l, samples, 1)
+    assert sum(shell.size for shell in shells) == need
+    monkeypatch.setattr(dqi, "MC_POSITION_BUDGET", need - 1)
+    with pytest.raises(CapacityError):
+        dqi.mc_shells(x, l, samples, 1)
 
 
 def test_tail_shuffle_sizes_refused(sampler_calls):
