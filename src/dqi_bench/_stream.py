@@ -1,10 +1,12 @@
 """numpy 2.4.6's per-draw k-subset stream, replayed for many draws at once.
 
-Row i of ``draw_rows(m, k, seed, first, count)`` equals the sorted
+Row i of ``draw_rows(m, k, seed, first, count)`` is
 ``numpy.random.default_rng((seed, k, first + i)).choice(m, k, replace=False)``
-of numpy 2.4.6, for m <= 10000 or k <= m // 50 (beyond that numpy switches
-to a tail shuffle) and draw indices below 2^32.  The stream has three parts,
-each replayed in integer arithmetic across the rows of a chunk:
+of numpy 2.4.6 in packed form: ceil(m / 64) uint64 words, value j being bit
+j % 64 of word j // 64, so also the packed form of numpy's sorted choice.
+That holds for m <= 10000 or k <= m // 50 (beyond that numpy switches to a
+tail shuffle) and draw indices below 2^32.  The stream has three parts, each
+replayed in integer arithmetic across the rows of a chunk:
 
 - ``SeedSequence``: the little-endian 32-bit words of seed, k and the draw
   index are hashed into a pool of 4 words; ``generate_state(4, uint64)``
@@ -25,16 +27,19 @@ A redraw is rare (about k m / 2^32 per row), so ``draw_rows`` forms every
 step's product in one multiply, one word per step, and runs Floyd's steps
 across the rows on a count x ceil(m / 64) bitset of 64-bit words, the
 values chosen so far: one gather tests a pick, one scatter records it.
-Rows where any step's low word falls below its threshold are replayed one
-at a time by ``draw_rows_stepwise``, which redraws as numpy does and is
-also the oracle the one-pass kernel is tested against.
+After the last step that bitset is the rows it returns.  Rows where any
+step's low word falls below its threshold are replayed one at a time by
+``draw_rows_stepwise``, which redraws as numpy does, returns the values
+chosen, to be packed, and is the oracle the one-pass kernel is tested against.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .decoder import pack_positions
+
 MASK32 = 0xFFFFFFFF
-CHUNK_ROWS = 4096  # draws replayed together; bounds every array at CHUNK_ROWS x k
+CHUNK_ROWS = 4096  # draws replayed together; bounds every array at CHUNK_ROWS draws
 
 # SeedSequence constants (numpy/random/bit_generator.pyx)
 _POOL_SIZE = 4
@@ -153,7 +158,8 @@ class _Pcg64:
 
 
 def draw_rows_stepwise(m: int, k: int, seed: int, first: int, count: int) -> tuple[np.ndarray, int]:
-    """``draw_rows``, one Floyd step at a time across the rows, redrawing as numpy does.
+    """``draw_rows`` as a (count, k) int64 array of the values in the order Floyd's steps
+    choose them, one step at a time across the rows, redrawing as numpy does.
 
     Step s compares its pick against the s values chosen before it.
     """
@@ -180,55 +186,51 @@ def draw_rows_stepwise(m: int, k: int, seed: int, first: int, count: int) -> tup
         pick = (prod >> 32).astype(np.int64)
         taken = (chosen[:, :s] == pick[:, None]).any(axis=1)
         chosen[:, s] = np.where(taken, j, pick)
-    chosen.sort(axis=1)
     return chosen, rejected
 
 
 def draw_rows(m: int, k: int, seed: int, first: int, count: int) -> tuple[np.ndarray, int]:
-    """Draws first .. first+count-1 as a (count, k) int64 array of sorted positions,
-    and how many Lemire draws were rejected and redrawn on the way.
+    """Draws first .. first+count-1 as (count, ceil(m / 64)) uint64 words, value j of a
+    draw being bit j % 64 of its word j // 64, and how many Lemire draws were
+    rejected and redrawn on the way.
 
     Assumes 0 <= k <= m, seed >= 0, first + count <= 2^32, and that m <= 10000
     or k <= m // 50; callers check these.
     """
-    chosen = np.zeros((count, k), np.int64)
     j = np.arange(max(m - k, 1), m, dtype=np.uint64)  # the steps that draw
+    bits = np.zeros((count, (m + 63) // 64), np.int64)
+    bits[:, :1] = k - len(j)  # 1 when step 0 has a j of 0: it chooses 0 without a draw
+    words = bits.view(np.uint64)
     if not len(j) or not count:
-        return chosen, 0
+        return words, 0
     gen = _Pcg64(_seed_state(seed, k, np.arange(first, first + count, dtype=np.uint64)))
     prod = gen.words((len(j) + 1) // 2)[:len(j)] * (j + 1)[:, None]  # (steps, count)
     threshold = (MASK32 - j) % (j + 1)
     redrawn = np.flatnonzero((prod.astype(np.uint32) < threshold[:, None]).any(axis=0))
     prod >>= 32
     picks = prod.view(np.int64)  # the Lemire picks, in place: each is below 2^32
-    bits = np.zeros((m + 63) // 64 * count, np.int64)  # word w of draw r is bits[w * count + r]
-    offset = k - len(j)  # 1 when step 0 has a j of 0: it chooses 0 without a draw
-    bits[:count] = offset  # and so sets bit 0 of word 0
-    base = np.arange(count)
+    flat = bits.ravel()  # word w of draw r is flat[r * words per draw + w]
+    base = np.arange(0, bits.size, bits.shape[1])
     for pick, js in zip(picks, j.tolist()):
         at = pick >> 6
-        at *= count
         at += base
         bit = np.left_shift(1, pick & 63)
-        word = bits[at]
-        bits[at] = word | bit
+        word = flat[at]
+        flat[at] = word | bit
         taken = (word & bit).astype(bool)
         if taken.any():  # a taken pick records j instead, in the same word of every draw
-            pick[taken] = js
-            column = bits[(js >> 6) * count:((js >> 6) + 1) * count]
-            column |= taken * np.left_shift(np.int64(1), js & 63)
-    chosen[:, offset:] = picks.T
-    chosen.sort(axis=1)
+            bits[:, js >> 6] |= taken * np.left_shift(np.int64(1), js & 63)
     rejected = 0
     for r in redrawn.tolist():
-        chosen[r], row_rejected = draw_rows_stepwise(m, k, seed, first + r, 1)
+        row, row_rejected = draw_rows_stepwise(m, k, seed, first + r, 1)
+        words[r] = pack_positions(row, m)
         rejected += row_rejected
-    return chosen, rejected
+    return words, rejected
 
 
 def draw_shell(m: int, k: int, seed: int, draws: int) -> np.ndarray:
     """Draws 0 .. draws-1 of ``draw_rows``, replayed ``CHUNK_ROWS`` at a time."""
-    out = np.empty((draws, k), np.int64)
+    out = np.empty((draws, (m + 63) // 64), np.uint64)
     for first in range(0, draws, CHUNK_ROWS):
         count = min(CHUNK_ROWS, draws - first)
         out[first:first + count] = draw_rows(m, k, seed, first, count)[0]

@@ -467,12 +467,15 @@ def validate_approximation(
     go through both pipelines at the default degree rule.  Returns the
     paired rows, per-N aggregates (the geometric mean of the approx/exact
     ratio, under mode "approx/exact", then each mode's own metrics), and
-    the rows whose ratio falls outside [0.05, 3].  Car counts below 1 and a
-    negative seed are refused before any instance is built.
+    the rows whose ratio falls outside [0.05, 3].  Car counts below 1, fewer
+    than one instance per car count and a negative seed are refused before
+    any instance is built.
     """
     n_list = [int(n_cars) for n_cars in n_list]
     if any(n_cars < 1 for n_cars in n_list):
         raise ValidationError(f"car counts must be >= 1, got {n_list}")
+    if instances_per_n < 1:
+        raise ValidationError(f"instances per car count must be >= 1, got {instances_per_n}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     runs = [(decoder, "exact"), (decoder, "approx")]

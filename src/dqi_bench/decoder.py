@@ -21,14 +21,15 @@ graph distances.
 n_vars // 64 + 1) uint64 syndromes in, vertex v being bit v % 64 of word
 v // 64 and bit 0 clear, and (batch, ceil(m / 64)) uint64 errors out, row
 j (0-based) being bit j % 64 of word j // 64 and the padding bits 0;
-``pack_rows`` packs 0/1 rows that way.  The greedy scan runs once per batch
-over bit-sliced ints.  The minimum-weight T-join is a minimum pairing of T
-over shortest paths (Edmonds and Johnson, "Matching, Euler tours and the
-Chinese postman", Math. Prog. 1973).  A batch with at least as many rows
-as the even vertex sets it can need, such as an exact profile's, fills one
-pairing table per component, layer by layer in set size, with one
-vectorized pass per partner column; any other batch pairs each part
-recursively, sharing one memo of solved vertex sets.  Both give the same
+``pack_rows`` packs 0/1 rows that way, and ``pack_positions`` rows of
+positions.  The greedy scan runs once per batch over bit-sliced ints.
+The minimum-weight T-join is a minimum pairing of T over shortest paths
+(Edmonds and Johnson, "Matching, Euler tours and the Chinese postman",
+Math. Prog. 1973).  A batch with at least as many rows as the even
+vertex sets it can need, such as an exact profile's, fills one pairing
+table per component, layer by layer in set size, with one vectorized
+pass per partner column; any other batch pairs each part recursively,
+sharing one memo of solved vertex sets.  Both give the same
 errors.  ``greedy_decode`` and ``min_length_decode`` are batches of one.
 The scan translates gate-for-gate into a reversible circuit of
 CNOT/Toffoli gates over three registers (syndrome, one flag qubit per
@@ -342,6 +343,16 @@ def pack_rows(bits) -> np.ndarray:
     packed = np.zeros((batch, 8 * -(-width // 64)), dtype=np.uint8)
     packed[:, : -(-width // 8)] = np.packbits(bits, axis=1, bitorder="little")
     return packed.view("<u8")
+
+
+def pack_positions(pos: np.ndarray, m: int) -> np.ndarray:
+    """Rows of values below m as (rows, ceil(m / 64)) uint64 words: value j of a row
+    sets bit j % 64 of its word j // 64."""
+    words = np.zeros((len(pos), (m + 63) // 64), np.uint64)
+    rows = np.arange(len(pos))
+    for col in pos.T:
+        words[rows, col >> 6] |= np.left_shift(np.uint64(1), (col & 63).astype(np.uint64))
+    return words
 
 
 def _pack_columns(bits: np.ndarray) -> list[int]:

@@ -11,29 +11,31 @@ Everything here is classical, and densities are evaluated in closed form.
 Both decoders see only an error's syndrome, so the exact profile decodes
 once every syndrome an error of weight <= l can have (an even number of
 vertices per component, at most 2l in all) and keeps D_k as the decoded
-errors.  Syndromes and errors stay uint64 words from the batch through
-the decoder to D_k: weights are popcounts, each error's own syndrome is
-checked against T on words, and no pipeline run forms positions.  That
-syndrome batch depends only on the instance and l, so decoders sharing an
-instance share one build of it.  The Monte Carlo profile samples errors
-and decodes all of their syndromes in one batch.
-Each profile is one decoder batch.  The sampler owns its random stream: a
-drawn shell equals numpy 2.4.6's per-draw ``default_rng((seed, k,
-draw)).choice``, replayed in-package for all draws at once, so sampled
-profiles no longer depend on the installed numpy.  The replay
-(``_stream``) hashes the seed words once, steps PCG64 on two uint64
-halves, and runs Floyd's steps in one pass with a per-draw bitset of the
-values chosen; the rare draw with a rejected Lemire step is replayed
-alone, step by step.  The Monte Carlo shells are refused over
+errors.  The Monte Carlo profile samples errors and decodes all of their
+syndromes.  Each profile is one decoder batch, which depends only on the
+instance and l (and, when sampled, samples and seed), so decoders sharing
+an instance share one build of it.  In both, syndromes and errors are uint64 words from
+start to end, laid out like ``FailureProfile.decoded_words``: weights are
+popcounts, an error's syndrome is one table lookup per byte of its words
+(``_syndromes``), and an error decodes correctly when the decoder returns
+its own words.  No pipeline run holds errors as positions; only the
+enumeration of a small shell and the rare redrawn sample pass through
+them on the way to words.
+The sampler owns its random stream: a drawn shell is numpy 2.4.6's
+per-draw ``default_rng((seed, k, draw)).choice``, packed, replayed
+in-package for all draws at once, so sampled profiles no longer depend
+on the installed numpy.  The replay (``_stream``) hashes the seed words
+once, steps PCG64 on two uint64 halves, and runs Floyd's steps in one
+pass on a per-draw bitset of the values chosen, which is the shell it
+returns; the rare draw with a rejected Lemire step is replayed alone,
+step by step.  The Monte Carlo shells are refused over
 ``MC_POSITION_BUDGET`` error positions before any is built.
 Probability arithmetic is 64-bit float; binomial coefficients and shell sums are exact integers
 converted as late as possible.  A shell sum is a Walsh-Hadamard
 coefficient of the shell's signed syndrome state (Jordan et al.,
 arXiv:2408.08292): one table lookup per byte of a packed D_k row gives its
 syndrome and target parity, and the sum at an assignment counts the rows
-whose lookup, masked by the assignment, has odd popcount.  The Monte Carlo
-shells and their syndromes depend only on the instance and (l, samples,
-seed), so decoders sharing an instance share one build of them.
+whose lookup, masked by the assignment, has odd popcount.
 """
 from __future__ import annotations
 
@@ -46,7 +48,9 @@ from math import comb, inf, sqrt
 import numpy as np
 
 from ._stream import draw_shell
-from .decoder import DECODERS, ConstraintGraph, PathList, build_graph, build_path_list, pack_rows
+from .decoder import (
+    DECODERS, ConstraintGraph, PathList, build_graph, build_path_list, pack_positions, pack_rows
+)
 from .encoding import XorsatInstance
 from .errors import CapacityError, ValidationError
 
@@ -56,8 +60,8 @@ _RESIDUAL_TOL = 1e-11
 ENUMERATION_BUDGET = 1 << 21  # even syndromes an exact profile may decode
 _DENSITY_CHUNK = 1 << 16  # (assignment, D_k row) parities evaluated at once
 DEFAULT_SAMPLES = 2000
-# error positions the shells of a Monte Carlo profile may hold, sum_k min(C(m, k), samples) * k:
-# 128 MiB as int64; a 100-car sweep to k = 100 at the default samples holds about 10M
+# error positions the shells of a Monte Carlo profile may draw or enumerate,
+# sum_k min(C(m, k), samples) * k; a 100-car sweep to k = 100 at the default samples draws about 10M
 MC_POSITION_BUDGET = 1 << 24
 
 
@@ -187,10 +191,12 @@ class FailureProfile:
 
 
 def _combinations(m: int, k: int) -> np.ndarray:
-    """Every weight-k error as a row of 0-based positions, in lexicographic order."""
+    """Every weight-k error as a row of words laid out like ``FailureProfile.decoded_words``,
+    in lexicographic order of their positions."""
     flat = chain.from_iterable(combinations(range(m), k))
     size = comb(m, k)
-    return np.fromiter(flat, dtype=np.min_scalar_type(m), count=size * k).reshape(size, k)
+    pos = np.fromiter(flat, dtype=np.min_scalar_type(m), count=size * k).reshape(size, k)
+    return pack_positions(pos, m)
 
 
 def _incidence_words(x: XorsatInstance) -> np.ndarray:
@@ -199,50 +205,7 @@ def _incidence_words(x: XorsatInstance) -> np.ndarray:
     Vertex v is bit v % 64 of word v // 64.  Bit 0 stays clear, so no row is
     0 words wide, and a row's target parity can be folded in there.
     """
-    words = np.zeros((x.m, x.n_vars // 64 + 1), dtype=np.uint64)
-    for v in np.array(x.rows, dtype=np.uint64).reshape(x.m, 2).T:
-        words[np.arange(x.m), v >> np.uint64(6)] |= np.uint64(1) << (v & np.uint64(63))
-    return words
-
-
-def _shell_syndromes(x: XorsatInstance, shells: list[np.ndarray]) -> np.ndarray:
-    """The syndromes of every error of ``shells``, in order, as words laid out like ``_incidence_words``.
-
-    A shell holds one error per row, as k 0-based positions.
-    """
-    incidence = _incidence_words(x)
-    return np.concatenate([np.bitwise_xor.reduce(incidence[pos], axis=1) for pos in shells])
-
-
-def _shell_successes(
-    decoder: str,
-    x: XorsatInstance,
-    paths: PathList | None,
-    shells: list[np.ndarray],
-    syndromes: np.ndarray,
-) -> list[np.ndarray]:
-    """Which errors of each shell the decoder returns unchanged.
-
-    A shell holds one error per row, as k 0-based positions, and
-    ``syndromes`` holds their syndromes, ``_shell_syndromes(x, shells)``.
-    All rows are decoded in one batch, as they are: the decoders are
-    deterministic per row, and almost every drawn syndrome is distinct, so
-    removing repeats would cost more than decoding them.
-    """
-    if decoder not in DECODERS:
-        raise ValidationError(f"unknown decoder {decoder!r}")
-    if paths is None:
-        paths = build_path_list(build_graph(x))
-    decoded = DECODERS[decoder](paths, x, syndromes)
-    unit = pack_rows(np.eye(x.m, dtype=np.uint8))  # row j's error as words
-    return [
-        (rows == np.bitwise_or.reduce(unit[pos], axis=1)).all(axis=1)
-        for pos, rows in zip(shells, np.split(decoded, np.cumsum([len(s) for s in shells])[:-1]))
-    ]
-
-
-def _failure_rates(successes: list[np.ndarray]) -> tuple[float, ...]:
-    return tuple((len(ok) - int(np.count_nonzero(ok))) / len(ok) for ok in successes)
+    return pack_positions(np.array(x.rows, dtype=np.int64).reshape(x.m, 2), x.n_vars + 1)
 
 
 def check_exact_budget(x: XorsatInstance, l: int, graph: ConstraintGraph | None = None) -> None:
@@ -335,6 +298,11 @@ def _xor_rows(table: np.ndarray, err: np.ndarray) -> np.ndarray:
     return out
 
 
+def _syndromes(x: XorsatInstance, err: np.ndarray) -> np.ndarray:
+    """The syndromes of packed errors, as words laid out like ``_incidence_words``."""
+    return _xor_rows(_byte_table(_incidence_words(x)), err)
+
+
 def failure_profile_exact(
     decoder: str,
     x: XorsatInstance,
@@ -371,7 +339,7 @@ def failure_profile_exact(
     weight = np.bitwise_count(err).sum(axis=1, dtype=np.intp)
     keep = np.flatnonzero(weight <= l)
     err, weight = err[keep], weight[keep].astype(np.min_scalar_type(l))
-    ok = (_xor_rows(_byte_table(_incidence_words(x)), err) == syndromes[keep]).all(axis=1)
+    ok = (_syndromes(x, err) == syndromes[keep]).all(axis=1)
     err, weight = err[ok], weight[ok]
     err = err[np.argsort(weight, kind="stable")]  # a radix sort on these small integers
     bounds = np.cumsum(np.bincount(weight, minlength=l + 1))[:-1]
@@ -404,11 +372,13 @@ def _check_draws(m: int, k: int, seed: int, draws: int) -> None:
 
 
 def sample_shell_error(m: int, k: int, seed: int, draws: int) -> np.ndarray:
-    """Deterministic uniform weight-k errors: a (draws, k) int64 array of sorted positions.
+    """Deterministic uniform weight-k errors: a (draws, ceil(m / 64)) uint64 array.
 
-    Row i is the sorted ``numpy.random.default_rng((seed, k, i)).choice(m, k,
-    replace=False)`` of numpy 2.4.6, replayed in-package (``_stream``), so
-    the draws no longer depend on the installed numpy.  Each draw has its own
+    Row i is ``numpy.random.default_rng((seed, k, i)).choice(m, k,
+    replace=False)`` of numpy 2.4.6 in packed form, laid out like
+    ``FailureProfile.decoded_words`` (position j is bit j % 64 of word
+    j // 64), replayed in-package (``_stream``), so the draws no longer
+    depend on the installed numpy.  Each draw has its own
     stream, so samples do not depend on evaluation order or worker count, and
     paired runs with the same seed see byte-identical error sets.
 
@@ -426,14 +396,16 @@ def mc_shells(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """The errors a Monte Carlo profile scores, and their syndromes.
 
-    The errors come as one (rows, k) position array per shell k <= l.
-    Shells with at most ``samples`` errors are enumerated exactly instead;
+    The errors come as one (rows, ceil(m / 64)) uint64 array per shell
+    k <= l, laid out like ``FailureProfile.decoded_words``.  Shells with at
+    most ``samples`` errors are enumerated exactly instead;
     draws are independent, so an error can be sampled more than once.  Each
     drawn shell is one ``sample_shell_error`` call, and its refusals are
     checked for the heaviest drawn shell before any shell is drawn or
     enumerated, as is ``MC_POSITION_BUDGET``: shells holding more error
-    positions in all raise ``CapacityError``.  The errors depend on (m, l,
-    samples, seed) only, never on the decoder.  The
+    positions in all raise ``CapacityError``.  A negative seed raises
+    ``ValidationError`` even when every shell is enumerated.  The errors
+    depend on (m, l, samples, seed) only, never on the decoder.  The
     syndromes of all shells, in order, are one (rows, n_vars // 64 + 1)
     uint64 array laid out like ``_incidence_words``, from one XOR pass.
     """
@@ -442,6 +414,8 @@ def mc_shells(
         raise ValidationError("samples must be >= 1")
     if not 0 <= l <= m:
         raise ValidationError(f"degree l={l} out of range 0..{m}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     sizes = [comb(m, k) for k in range(l + 1)]
     drawn = [k for k, size in enumerate(sizes) if size > samples]
     if drawn:  # whatever refuses a drawn shell refuses the heaviest one
@@ -456,7 +430,7 @@ def mc_shells(
         sample_shell_error(m, k, seed, samples) if size > samples else _combinations(m, k)
         for k, size in enumerate(sizes)
     ]
-    return shells, _shell_syndromes(x, shells)
+    return shells, _syndromes(x, np.concatenate(shells))
 
 
 def failure_profile_mc(
@@ -471,16 +445,25 @@ def failure_profile_mc(
     """Monte Carlo failure rates: a fixed number of uniform errors per shell.
 
     The errors and their syndromes are ``mc_shells(x, l, samples, seed)``,
-    drawn here unless ``shells`` passes that pair in, already drawn.
+    drawn here unless ``shells`` passes that pair in, already drawn.  An
+    error fails when the decoder does not return its own words.  All rows
+    are decoded in one batch, as they are: the decoders are deterministic
+    per row, and almost every drawn syndrome is distinct, so removing
+    repeats would cost more than decoding them.
     """
-    if shells is None:
-        shells = mc_shells(x, l, samples, seed)
+    errors, syndromes = mc_shells(x, l, samples, seed) if shells is None else shells
+    if decoder not in DECODERS:
+        raise ValidationError(f"unknown decoder {decoder!r}")
+    if paths is None:
+        paths = build_path_list(build_graph(x))
+    bounds = np.cumsum([len(e) for e in errors])[:-1]
+    decoded = np.split(DECODERS[decoder](paths, x, syndromes), bounds)
     return FailureProfile(
         mode="monte_carlo",
         decoder=decoder,
         m=x.m,
         l=l,
-        eps=_failure_rates(_shell_successes(decoder, x, paths, *shells)),
+        eps=tuple(int((d != e).any(axis=1).sum()) / len(e) for d, e in zip(decoded, errors)),
         shell_sizes=tuple(comb(x.m, k) for k in range(l + 1)),
         samples_per_shell=samples,
         seed=seed,

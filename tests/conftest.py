@@ -73,15 +73,15 @@ def decode_calls(monkeypatch):
 
 @pytest.fixture()
 def shell_syndrome_passes(monkeypatch):
-    """The shell count of every XOR pass over Monte Carlo shells made while the test runs."""
+    """The row count of every XOR pass over packed errors made while the test runs."""
     calls = []
-    build = dqi._shell_syndromes
+    build = dqi._syndromes
 
-    def counting(x, shells):
-        calls.append(len(shells))
-        return build(x, shells)
+    def counting(x, err):
+        calls.append(len(err))
+        return build(x, err)
 
-    monkeypatch.setattr(dqi, "_shell_syndromes", counting)
+    monkeypatch.setattr(dqi, "_syndromes", counting)
     return calls
 
 

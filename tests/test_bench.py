@@ -1,4 +1,5 @@
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -282,8 +283,8 @@ def test_compare_decoders_draws_each_shell_once(draw_calls, shell_syndrome_passe
     rows = compare_decoders(generate_instance(24, 1), samples=2000)
     assert (rows[0]["m"], rows[0]["l"]) == (45, 9)
     assert [k for _, k, _, _ in draw_calls] == list(range(3, 10))
-    # one XOR pass serves the matching-capacity check and both profiles
-    assert shell_syndrome_passes == [10]
+    # one XOR pass over the rows of shells 0..9 serves the matching-capacity check and both profiles
+    assert shell_syndrome_passes == [sum(min(comb(45, k), 2000) for k in range(10))]
 
 
 def test_exact_compare_never_derives_positions(no_positions):

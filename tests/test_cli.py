@@ -205,7 +205,8 @@ def test_exact_runs_never_derive_positions(no_positions, tmp_path, capsys, ex1_f
 def test_sweep_both_mc_makes_one_shell_syndrome_pass(shell_syndrome_passes, tmp_path, capsys, ex1_file):
     argv = ["sweep", "-i", ex1_file, "--decoder", "both", "--profile", "mc", "--samples", "3"]
     assert main([*argv, "-o", str(tmp_path / "sweep.csv")]) == 0
-    assert shell_syndrome_passes == [5]  # shells 0..4 of the largest degree, min(n, m) = 4
+    # the rows of shells 0..4 of the largest degree, min(n, m) = 4: one enumerated, four of 3 draws
+    assert shell_syndrome_passes == [1 + 4 * 3]
 
 
 def test_validate_approx(tmp_path, capsys):
@@ -387,6 +388,7 @@ BAD_ARGS = [
     ["distance", "--cap"],
     ["decode-stats", "-i", "{system}", "--l", "100"],
     ["decode-stats", "-i", "{system}", "--mode", "approx", "--samples", "0"],
+    ["decode-stats", "-i", "{system}", "--mode", "approx", "--seed", "-1"],
     ["circuit", "-i", "{system}"],
     ["bench", "--n-cars", "-1", "-o", "{out}"],
     ["bench", "--n-cars", "4", "-i", "{system}", "-o", "{out}"],
@@ -399,6 +401,8 @@ BAD_ARGS = [
     ["sweep", "--n-cars", "4", "--samples", "0", "-o", "{out}"],
     ["validate-approx", "--n-list", "-3", "-o", "{out}"],
     ["validate-approx", "--n-list", "3", "--seed", "-1", "-o", "{out}"],
+    ["validate-approx", "--n-list", "3", "--instances", "0", "-o", "{out}"],
+    ["validate-approx", "--n-list", "3", "--instances", "-2", "-o", "{out}"],
     ["validate-approx", "--n-list", "3,x", "-o", "{out}"],
     ["validate-approx", "--n-list", ",", "-o", "{out}"],
     ["export-lp", "-i", "{system}"],

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, product
 from math import comb, isinf, sqrt
 
@@ -203,8 +204,8 @@ def test_mc_profile_deterministic():
     assert a.eps == b.eps
     draws = sample_shell_error(x.m, 3, 11, 8)
     assert draws.tolist() == sample_shell_error(x.m, 3, 11, 8).tolist()
-    assert draws.shape == (8, 3)
-    assert all(len(set(row)) == 3 for row in draws.tolist())  # positions without replacement
+    assert draws.shape == (8, (x.m + 63) // 64)
+    assert np.bitwise_count(draws).sum(axis=1).tolist() == [3] * 8  # positions without replacement
 
 
 def test_mc_profile_concentration():
@@ -271,6 +272,19 @@ def test_profiles_past_int16_positions():
     assert_same_exact(exact, decoded_sets_loop("greedy", x, 1))
     mc = failure_profile_mc("greedy", x, 2, samples=5, seed=1)
     assert mc.eps == failure_profile_mc_loop("greedy", x, 2, samples=5, seed=1).eps
+
+
+def test_mc_profile_memory_stays_below_the_system_squared():
+    # the 40000-row system of the test above: an m x m array of unit errors alone is 1.6 GB
+    rows = ((1, 2),) * 39999 + ((2, 3),)
+    x = XorsatInstance(n_vars=3, rows=rows, targets=(0,) * len(rows))
+    tracemalloc.start()
+    try:
+        failure_profile_mc("greedy", x, 2, samples=5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, f"traced peak {peak / 2**20:.0f} MB"
 
 
 def test_profiles_and_densities_past_one_word():

@@ -3,6 +3,7 @@ import json
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from dqi_bench import (
 )
 from dqi_bench import _stream, dqi
 from dqi_bench.cli import main
+from dqi_bench.decoder import pack_positions, pack_rows
 from oracles import sample_shell_error_numpy
 
 # rows drawn by numpy 2.4.6's default_rng((seed, k, first + i)).choice(m, k, replace=False)
@@ -27,6 +29,11 @@ FROZEN = json.loads((Path(__file__).parent / "frozen_draws.json").read_text())
 
 def numpy_rows(m, k, seed, first, count):
     return [list(sample_shell_error_numpy(m, k, seed, first + i)) for i in range(count)]
+
+
+def packed(rows, m):
+    """Rows of positions as the words the sampler returns, as nested lists."""
+    return pack_positions(np.array(rows, dtype=np.int64), m).tolist()
 
 
 NUMPY_STREAM_FROZEN = all(
@@ -44,9 +51,9 @@ needs_frozen_numpy_stream = pytest.mark.skipif(
 def test_replay_matches_frozen_draws(case):
     m, k, seed, first, want = case["m"], case["k"], case["seed"], case["first"], case["rows"]
     rows, _ = _stream.draw_rows(m, k, seed, first, len(want))
-    assert rows.tolist() == want
+    assert rows.tolist() == packed(want, m)
     if first == 0:
-        assert dqi.sample_shell_error(m, k, seed, len(want)).tolist() == want
+        assert dqi.sample_shell_error(m, k, seed, len(want)).tolist() == packed(want, m)
 
 
 def test_replay_takes_the_lemire_rejection_branch():
@@ -54,7 +61,7 @@ def test_replay_takes_the_lemire_rejection_branch():
     (case,) = [c for c in FROZEN if c["m"] == 9999]
     rows, rejected = _stream.draw_rows(9999, 199, 0, 1116, 1)
     assert rejected == 1
-    assert rows.tolist() == case["rows"]
+    assert rows.tolist() == packed(case["rows"], 9999)
 
 
 def test_batch_with_a_redrawn_row_matches_row_by_row():
@@ -86,7 +93,8 @@ seeds = st.one_of(
 @example((317, 317), 2**40 + 7, 2)
 def test_replay_matches_numpy(shell, seed, draws):
     m, k = shell
-    assert dqi.sample_shell_error(m, k, seed, draws).tolist() == numpy_rows(m, k, seed, 0, draws)
+    want = packed(numpy_rows(m, k, seed, 0, draws), m)
+    assert dqi.sample_shell_error(m, k, seed, draws).tolist() == want
 
 
 @needs_frozen_numpy_stream
@@ -96,7 +104,7 @@ def test_replay_matches_numpy_at_the_last_draw_indices(shell, seed, back):
     m, k = shell
     first = 2**32 - 1 - back
     rows, _ = _stream.draw_rows(m, k, seed, first, back + 1)
-    assert rows.tolist() == numpy_rows(m, k, seed, first, back + 1)
+    assert rows.tolist() == packed(numpy_rows(m, k, seed, first, back + 1), m)
 
 
 # m at and around the bitset's 64-bit word edges, or any m; k of 0, 1, m - 1 (the
@@ -126,8 +134,9 @@ def test_one_pass_kernel_matches_stepwise(shell, seed, span):
     count, first = span
     rows, rejected = _stream.draw_rows(m, k, seed, first, count)
     want, want_rejected = _stream.draw_rows_stepwise(m, k, seed, first, count)
-    assert rows.dtype == want.dtype and rows.shape == want.shape == (count, k)
-    assert rows.tolist() == want.tolist()
+    assert want.dtype == np.int64 and want.shape == (count, k)
+    assert rows.dtype == np.uint64 and rows.shape == (count, (m + 63) // 64)
+    assert rows.tolist() == packed(want, m)
     assert rejected == want_rejected
 
 
@@ -135,6 +144,18 @@ def test_chunks_join_into_one_stream(monkeypatch):
     whole, _ = _stream.draw_rows(60, 12, 5, 0, 10)
     monkeypatch.setattr(_stream, "CHUNK_ROWS", 3)
     assert dqi.sample_shell_error(60, 12, 5, 10).tolist() == whole.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_shells, st.integers(0, 5), st.randoms(use_true_random=False))
+def test_packed_positions_match_packed_rows(shell, count, rnd):
+    # any order of a row's values, m at and around the 64-bit word edges
+    m, k = shell
+    rows = [rnd.sample(range(m), k) for _ in range(count)]
+    bits = np.zeros((count, m), np.uint8)
+    for r, row in enumerate(rows):
+        bits[r, row] = 1
+    assert packed(rows, m) == pack_rows(bits).tolist()
 
 
 def _reduced(n_cars, seed):
@@ -215,14 +236,16 @@ def test_position_budget_counts_the_positions_held(monkeypatch):
     need = sum(min(comb(x.m, k), samples) * k for k in range(l + 1))
     monkeypatch.setattr(dqi, "MC_POSITION_BUDGET", need)
     shells, _ = dqi.mc_shells(x, l, samples, 1)
-    assert sum(shell.size for shell in shells) == need
+    assert sum(len(shell) * k for k, shell in enumerate(shells)) == need
+    assert sum(int(np.bitwise_count(shell).sum()) for shell in shells) == need
     monkeypatch.setattr(dqi, "MC_POSITION_BUDGET", need - 1)
     with pytest.raises(CapacityError):
         dqi.mc_shells(x, l, samples, 1)
 
 
 def test_tail_shuffle_sizes_refused(sampler_calls):
-    assert dqi.sample_shell_error(10_001, 200, 0, 2).shape == (2, 200)  # k = m // 50 still replays
+    draws = dqi.sample_shell_error(10_001, 200, 0, 2)  # k = m // 50 still replays
+    assert draws.shape == (2, 157) and np.bitwise_count(draws).sum(axis=1).tolist() == [200, 200]
     with pytest.raises(CapacityError):
         dqi.sample_shell_error(10_001, 201, 0, 2)
     m = 10_001
