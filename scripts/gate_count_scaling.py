@@ -35,7 +35,7 @@ def main():
                 cost = gate_cost(paths)
                 writer.writerow([
                     n_cars, instance_digest(inst), x.n_vars, x.m,
-                    len(paths.entries), cost.leading_order, cost.ccx, cost.cx,
+                    len(paths.u), cost.leading_order, cost.ccx, cost.cx,
                 ])
                 points.append((log(x.n_vars), log(cost.leading_order)))
     slope = float(np.polyfit([p[0] for p in points], [p[1] for p in points], 1)[0])

@@ -133,7 +133,7 @@ def _cmd_circuit(args):
     cost = gate_cost(paths)
     return {
         "command": "circuit",
-        "paths": len(paths.entries),
+        "paths": len(paths.u),
         "ccx": cost.ccx,
         "cx": cost.cx,
         "leading_order": cost.leading_order,

@@ -15,7 +15,10 @@ Both decoders here pick a T-join built from precomputed shortest paths:
 the greedy decoder scans an ordered path list and takes the first path
 whose endpoints are still unmatched; the minimum-length decoder pairs T
 optimally per component by subset dynamic programming over the pairwise
-graph distances.
+graph distances.  The path list is held as columns (endpoints, edge ids,
+length), written by one BFS per target straight into buckets that read
+out in scan order, so building, scanning and emitting it makes no record
+per path; its ``entries`` and pair ``index`` are derived on request.
 
 ``DECODERS`` maps each name to its batch form on packed words: (batch,
 n_vars // 64 + 1) uint64 syndromes in, vertex v being bit v % 64 of word
@@ -90,7 +93,7 @@ class ConstraintGraph:
 
 
 class PathEntry(NamedTuple):
-    """One stored path; a named tuple, the cheapest record to make by the thousand."""
+    """One stored path, as ``PathList.entries`` derives it."""
 
     u: int
     v: int
@@ -98,19 +101,50 @@ class PathEntry(NamedTuple):
     length: int
 
 
-@dataclass(frozen=True)
 class PathList:
     """Ordered shortest paths between all vertex pairs of each component.
 
-    Entries are sorted by (length, smaller endpoint, larger endpoint); the
-    retained path per pair is the one with lexicographically smallest
-    vertex sequence.  ``component`` is the graph's component labelling, and
-    ``index`` locates the entry of a pair within ``entries``.
+    Path i runs from ``u[i]`` to ``v[i]`` > ``u[i]`` over the representative
+    edge ids ``edges[i]``, ``length[i]`` of them; the paths are sorted by
+    (length, u, v), and the retained path per pair is the one with the
+    lexicographically smallest vertex sequence.  ``component`` is the
+    graph's component labelling.  The four columns are the one
+    representation: ``entries`` (one ``PathEntry`` per path) and ``index``
+    (the position of each pair (u, v)) are derived from them on request.
+    ``PathList(entries, component)`` takes ``(u, v, edges, length)``
+    records in that order; ``build_path_list`` writes the columns directly.
     """
 
-    entries: tuple[PathEntry, ...]
-    component: dict[int, int]
-    index: dict[tuple[int, int], int]
+    def __init__(self, entries, component: dict[int, int]):
+        self.u, self.v, self.edges, self.length = [], [], [], []
+        for u, v, edges, length in entries:
+            self.u.append(u)
+            self.v.append(v)
+            self.edges.append(tuple(edges))
+            self.length.append(length)
+        self.component = component
+
+    @classmethod
+    def _of_columns(cls, u: list[int], v: list[int], edges: list[tuple[int, ...]], length: list[int],
+                    component: dict[int, int]) -> PathList:
+        p = cls.__new__(cls)
+        p.u, p.v, p.edges, p.length, p.component = u, v, edges, length, component
+        return p
+
+    @cached_property
+    def entries(self) -> tuple[PathEntry, ...]:
+        new = tuple.__new__  # skips the named tuple's argument handling
+        return tuple([new(PathEntry, e) for e in zip(self.u, self.v, self.edges, self.length)])
+
+    @cached_property
+    def index(self) -> dict[tuple[int, int], int]:
+        return dict(zip(zip(self.u, self.v), range(len(self.u))))
+
+    def __eq__(self, other):
+        if not isinstance(other, PathList):
+            return NotImplemented
+        return (self.u, self.v, self.edges, self.length, self.component) == (
+            other.u, other.v, other.edges, other.length, other.component)
 
 
 @dataclass(frozen=True)
@@ -136,10 +170,14 @@ class Program(NamedTuple):
     kind: bytes
 
 
+def _registers(gl: GateList) -> tuple[tuple[str, int], ...]:
+    """Each register's name and size, in the order they are laid end to end."""
+    return ("v", gl.n_syndrome), ("p", gl.n_path), ("e", gl.n_error)
+
+
 def _wires(gl: GateList) -> list[tuple[str, int]]:
     """Every wire of the registers laid end to end: wire k is word k."""
-    sizes = (("v", gl.n_syndrome), ("p", gl.n_path), ("e", gl.n_error))
-    return [(reg, i) for reg, size in sizes for i in range(1, size + 1)]
+    return [(reg, i) for reg, size in _registers(gl) for i in range(1, size + 1)]
 
 
 def _compile(gl: GateList) -> Program:
@@ -278,31 +316,51 @@ def build_path_list(g: ConstraintGraph) -> PathList:
     The BFS visits each level in ascending order, so the first vertex to
     reach a vertex of the next level is that smallest closer neighbour.
     Paths to v share their suffixes.  Pairs in different components are
-    omitted.
+    omitted.  Targets run in ascending order, and each path u < v goes into
+    a bucket per (length, u), so the buckets hold their paths in ascending
+    v and, read in (length, u) order, give the sorted columns.
     """
-    adjacency, pairs = g.adjacency, g.pairs
-    rows = []  # (length, u, v, edges): sorting them sorts by (length, u, v)
-    for v in range(1, g.n_vertices + 1):
-        to_v = {v: ()}
+    n, pairs = g.n_vertices, g.pairs
+    # steps[s]: (neighbour w, (representative edge of s-w,)), w ascending
+    steps = [()] + [
+        tuple((w, (pairs[(w, s) if w < s else (s, w)],)) for w in g.adjacency[s]) for s in range(1, n + 1)
+    ]
+    vs_at, edges_at = [], []  # [length - 1][u]: the v and edges of each path u < v, v ascending
+    for v in range(1, n + 1):
+        to_v = [None] * (n + 1)  # the edges from each reached vertex to v
+        to_v[v] = ()
         level = [v]
-        length = 0
-        while level:
-            length += 1
+        depth = 0
+        while True:
             reached = []
             for step in level:
                 tail = to_v[step]
-                for w in adjacency[step]:
-                    if w not in to_v:
-                        to_v[w] = (pairs[(w, step) if w < step else (step, w)],) + tail
+                for w, edge in steps[step]:
+                    if to_v[w] is None:
+                        to_v[w] = edge + tail
                         reached.append(w)
+            if not reached:
+                break
             reached.sort()
-            rows += [(length, u, v, to_v[u]) for u in reached if u < v]
+            if depth == len(vs_at):
+                vs_at.append([[] for _ in range(n + 1)])
+                edges_at.append([[] for _ in range(n + 1)])
+            vs_of, edges_of = vs_at[depth], edges_at[depth]
+            for u in reached:
+                if u > v:
+                    break
+                vs_of[u].append(v)
+                edges_of[u].append(to_v[u])
+            depth += 1
             level = reached
-    rows.sort()
-    new = tuple.__new__  # skips the named tuple's argument handling
-    entries = tuple([new(PathEntry, (u, v, edges, length)) for length, u, v, edges in rows])
-    index = dict(zip([(u, v) for _, u, v, _ in rows], range(len(rows))))
-    return PathList(entries=entries, component=g.component, index=index)
+    us, vs, edges, lengths = [], [], [], []
+    for length, (vs_of, edges_of) in enumerate(zip(vs_at, edges_at), start=1):
+        for u in range(1, n + 1):
+            us += [u] * len(vs_of[u])
+            vs += vs_of[u]
+            edges += edges_of[u]
+        lengths += [length] * (len(us) - len(lengths))
+    return PathList._of_columns(us, vs, edges, lengths, g.component)
 
 
 def _greedy_scan(p: PathList, t: list[int], m: int) -> list[int]:
@@ -314,12 +372,12 @@ def _greedy_scan(p: PathList, t: list[int], m: int) -> list[int]:
     so the scan always empties T.
     """
     err = [0] * m
-    for entry in p.entries:
-        fire = t[entry.u - 1] & t[entry.v - 1]
+    for u, v, edges in zip(p.u, p.v, p.edges):
+        fire = t[u - 1] & t[v - 1]
         if fire:
-            t[entry.u - 1] ^= fire
-            t[entry.v - 1] ^= fire
-            for eid in entry.edges:
+            t[u - 1] ^= fire
+            t[v - 1] ^= fire
+            for eid in edges:
                 err[eid - 1] ^= fire
     return err
 
@@ -421,9 +479,8 @@ def _memo_decode(p: PathList, x: XorsatInstance, syn: np.ndarray) -> np.ndarray:
     """The min-length errors of a packed batch, one ``_pairing`` per component part of each row."""
     n = x.n_vars
     link = [[None] * n for _ in range(n)]
-    for (u, v), i in p.index.items():
-        entry = p.entries[i]
-        link[u - 1][v - 1] = (entry.length, sum(1 << (eid - 1) for eid in entry.edges))
+    for u, v, length, edges in zip(p.u, p.v, p.length, p.edges):
+        link[u - 1][v - 1] = (length, sum(1 << (eid - 1) for eid in edges))
     comp_masks: dict[int, int] = {}
     for v, comp in p.component.items():
         comp_masks[comp] = comp_masks.get(comp, 0) | 1 << (v - 1)
@@ -467,9 +524,9 @@ def _pair_table(p: PathList, verts: list[int], words: int):
     for b in range(1, s):
         for a in range(b):
             r = a + comb(b, 2)
-            entry = p.entries[p.index[verts[a], verts[b]]]
-            dist[r] = entry.length
-            for eid in entry.edges:
+            i = p.index[verts[a], verts[b]]
+            dist[r] = p.length[i]
+            for eid in p.edges[i]:
                 rows.append(r)
                 cols.append((eid - 1) >> 6)
                 bits.append(1 << ((eid - 1) & 63))
@@ -631,13 +688,13 @@ def emit_circuit(p: PathList, g: ConstraintGraph) -> GateList:
     a third, unless it is the only path, whose restoring pair continues its
     CNOT run.
     """
-    n_s, n_p, n_e = g.n_vertices, len(p.entries), len(g.edges)
+    n_s, n_p, n_e = g.n_vertices, len(p.u), len(g.edges)
     word = list(range(n_s + n_p + n_e))
     e_word = word[n_s + n_p - 1 :].__getitem__  # e_word(j) is e:j's word, j >= 1
     paths = word[n_s : n_s + n_p]
     c1, c2, t, runs, ends, kind = [], [], [], [], [], bytearray()
     start = 0  # the Toffoli of the current path
-    for (u, v, edges, length), pq in zip(p.entries, paths):
+    for u, v, edges, length, pq in zip(p.u, p.v, p.edges, p.length, paths):
         vu, vv = word[u - 1], word[v - 1]
         runs += (start, start + 1)
         start += length + 3
@@ -733,15 +790,15 @@ def gate_cost(p: PathList) -> GateCost:
     Toffoli and four syndrome CNOTs (two in the scan, two in the restore
     pass).
     """
-    leading = sum(entry.length for entry in p.entries)
-    n_paths = len(p.entries)
+    leading = sum(p.length)
+    n_paths = len(p.length)
     return GateCost(leading_order=leading, ccx=n_paths, cx=leading + 4 * n_paths)
 
 
 def _circuit_chunks(gl: GateList):
     """The circuit file as strings of up to ``_CHUNK_LINES`` lines, formatted from ``gl.program``."""
     c1, c2, targets, _, kind = gl.program
-    names = [f"{reg}:{i}" for reg, i in _wires(gl)]
+    names = [f"{reg}:{i}" for reg, size in _registers(gl) for i in range(1, size + 1)]
     yield f"REGISTERS syndrome={gl.n_syndrome} path={gl.n_path} error={gl.n_error}\n"
     for lo in range(0, len(targets), _CHUNK_LINES):
         hi = lo + _CHUNK_LINES

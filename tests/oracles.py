@@ -200,8 +200,7 @@ def build_path_list_sorted(g: ConstraintGraph) -> PathList:
                 to_v[w] = (g.pairs[min(w, step), max(w, step)],) + to_v[step]
         entries.extend(PathEntry(u=u, v=v, edges=to_v[u], length=dist[u]) for u in dist if u < v)
     entries.sort(key=lambda e: (e.length, e.u, e.v))
-    index = {(e.u, e.v): i for i, e in enumerate(entries)}
-    return PathList(entries=tuple(entries), component=g.component, index=index)
+    return PathList(entries, g.component)
 
 
 def path_lengths(p: PathList) -> dict[tuple[int, int], int]:

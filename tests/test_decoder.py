@@ -159,11 +159,16 @@ def test_path_list_matches_bfs_oracle(inst):
 
 @settings(max_examples=100, deadline=None)
 @given(parity_systems())
+@example(XorsatInstance(n_vars=2, rows=(), targets=()))  # no rows
+@example(XorsatInstance(n_vars=3, rows=((1, 2),), targets=(0,)))  # an isolated vertex
+@example(XorsatInstance(n_vars=5, rows=((1, 2), (4, 5), (2, 3)), targets=(0,) * 3))  # two components
+@example(XorsatInstance(n_vars=3, rows=((2, 1), (1, 2), (2, 3), (3, 2)), targets=(0, 1, 1, 0)))  # parallel edges
+@example(XorsatInstance(n_vars=2, rows=((1, 2),), targets=(1,)))  # a single path
 def test_path_list_matches_sorted_oracle(x):
     g = build_graph(x)
     p, want = build_path_list(g), build_path_list_sorted(g)
     assert p.entries == want.entries
-    assert p.index == want.index
+    assert p.index == {(e.u, e.v): i for i, e in enumerate(want.entries)}
     assert p == want
 
 
@@ -691,6 +696,32 @@ def test_emitted_list_is_never_compiled(monkeypatch, ex1_paths, ex1_graph, ex1_r
     y = (0, 0, 0, 0, 1)
     assert simulate_circuit(gl, y, syndrome(ex1_reduced[0], y))[2] == (0, 1, 0, 0, 1)
     assert format_circuit(gl) == format_circuit_gates(gl)
+
+
+def test_circuit_path_never_derives_entries(ex1_reduced, tmp_path):
+    x = ex1_reduced[0]
+    g = build_graph(x)
+    p = build_path_list(g)
+    gate_cost(p)
+    gl = emit_circuit(p, g)
+    write_circuit(gl, tmp_path / "c.txt")
+    y = (0, 0, 0, 0, 1)
+    assert simulate_circuit(gl, (0,) * x.m, syndrome(x, y))[2] == greedy_decode(p, x, y).decoded_error
+    assert "entries" not in p.__dict__
+    assert "index" not in p.__dict__
+
+
+def test_emitted_list_is_formatted_without_wire_tuples(monkeypatch, ex1_paths, ex1_graph, tmp_path):
+    gl = emit_circuit(ex1_paths, ex1_graph)
+    want = format_circuit_gates(gl)
+
+    def refuse(gl):
+        raise AssertionError("the circuit file was formatted from wire tuples")
+
+    monkeypatch.setattr(decoder, "_wires", refuse)
+    assert format_circuit(gl) == want
+    write_circuit(gl, tmp_path / "c.txt")
+    assert (tmp_path / "c.txt").read_text() == want
 
 
 class CountingWords(list):
