@@ -23,6 +23,7 @@ import numpy as np
 from .decoder import (
     DECODERS,
     ConstraintGraph,
+    EvenSets,
     PathList,
     build_graph,
     build_path_list,
@@ -226,7 +227,8 @@ class _Instance:
     first use and only once, and so do the Monte Carlo shells of each
     (degree, samples, seed) and their syndromes, which every decoder scores
     and the matching-capacity check reads, and the
-    even-syndrome batch of each exact degree, which every decoder decodes;
+    even-set batch of each exact degree (an ``EvenSets``, in the colex
+    order of the min-length pairing tables), which every decoder decodes;
     building that batch checks its budget, once per degree.
     """
 
@@ -237,7 +239,7 @@ class _Instance:
         self.order = _elimination_order(self.x.n_vars, _pair_scores(self.x))
         self._weights: dict[int, DickeWeights] = {}
         self._shells: dict[tuple[int, int, int], tuple[list[np.ndarray], np.ndarray]] = {}
-        self._syndromes: dict[int, np.ndarray] = {}
+        self._syndromes: dict[int, EvenSets] = {}
 
     @cached_property
     def graph(self) -> ConstraintGraph:
@@ -256,7 +258,7 @@ class _Instance:
             self._weights[degree] = dicke_weights(self.x.m, degree)
         return self._weights[degree]
 
-    def syndromes(self, l: int) -> np.ndarray:
+    def syndromes(self, l: int) -> EvenSets:
         if l not in self._syndromes:
             self._syndromes[l] = exact_syndromes(self.x, l, self.graph)
         return self._syndromes[l]
@@ -274,7 +276,7 @@ class _Instance:
     def profile(self, decoder: str, exact: bool, l: int, samples: int, seed: int):
         if exact:
             return failure_profile_exact(
-                decoder, self.x, l, paths=self.paths, syndromes=self.syndromes(l)
+                decoder, self.x, l, paths=self.paths, batch=self.syndromes(l)
             )
         return failure_profile_mc(
             decoder, self.x, l, samples=samples, seed=seed, paths=self.paths,

@@ -319,6 +319,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"seed must be >= 0, got {args.seed}")
         summary = args.func(args)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")

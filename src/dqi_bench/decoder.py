@@ -28,11 +28,11 @@ j (0-based) being bit j % 64 of word j // 64 and the padding bits 0;
 positions.  The greedy scan runs once per batch over bit-sliced ints.
 The minimum-weight T-join is a minimum pairing of T over shortest paths
 (Edmonds and Johnson, "Matching, Euler tours and the Chinese postman",
-Math. Prog. 1973).  A batch with at least as many rows as the even
-vertex sets it can need, such as an exact profile's, fills one pairing
-table per component, layer by layer in set size, with one vectorized
-pass per partner column; any other batch pairs each part recursively,
-sharing one memo of solved vertex sets.  Both give the same
+Math. Prog. 1973).  An exact profile's batch is an ``EvenSets``, every
+even vertex set up to a size in the pairing tables' own colex order; it
+fills one table per component, layer by layer in set size, with one
+vectorized pass per partner column.  An array pairs each part
+recursively, sharing one memo of solved vertex sets.  Both give the same
 errors.  ``greedy_decode`` and ``min_length_decode`` are batches of one.
 The scan translates gate-for-gate into a reversible circuit of
 CNOT/Toffoli gates over three registers (syndrome, one flag qubit per
@@ -407,9 +407,10 @@ def pack_positions(pos: np.ndarray, m: int) -> np.ndarray:
     """Rows of values below m as (rows, ceil(m / 64)) uint64 words: value j of a row
     sets bit j % 64 of its word j // 64."""
     words = np.zeros((len(pos), (m + 63) // 64), np.uint64)
-    rows = np.arange(len(pos))
     for col in pos.T:
-        words[rows, col >> 6] |= np.left_shift(np.uint64(1), (col & 63).astype(np.uint64))
+        bit = np.left_shift(np.uint64(1), (col & 63).astype(np.uint64))
+        for w, word in enumerate(words.T):
+            word |= np.where(col >> 6 == w, bit, np.uint64(0))
     return words
 
 
@@ -432,8 +433,10 @@ def _column_rows(words: list[int], batch: int) -> np.ndarray:
     return out.view("<u8")
 
 
-def greedy_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarray) -> np.ndarray:
+def greedy_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarray | EvenSets) -> np.ndarray:
     """Greedy-decode packed syndromes into packed errors (see ``DECODERS``) over bit-sliced columns."""
+    if isinstance(syndromes, EvenSets):
+        syndromes = syndromes.syndromes
     syn = np.ascontiguousarray(syndromes, dtype="<u8").view(np.uint8)
     cols = _pack_columns(np.unpackbits(syn, axis=1, count=x.n_vars + 1, bitorder="little"))
     return _column_rows(_greedy_scan(p, cols[1:], x.m), len(syn))
@@ -481,16 +484,14 @@ def _memo_decode(p: PathList, x: XorsatInstance, syn: np.ndarray) -> np.ndarray:
     link = [[None] * n for _ in range(n)]
     for u, v, length, edges in zip(p.u, p.v, p.length, p.edges):
         link[u - 1][v - 1] = (length, sum(1 << (eid - 1) for eid in edges))
-    comp_masks: dict[int, int] = {}
-    for v, comp in p.component.items():
-        comp_masks[comp] = comp_masks.get(comp, 0) | 1 << (v - 1)
+    comp_masks = [sum(1 << (v - 1) for v in verts) for verts in _components(p.component)]
     memo: dict[int, tuple[int, int]] = {0: (0, 0)}
     batch, width = len(syn), 8 * ((x.m + 63) // 64)
     raw = bytearray(batch * width)
     for i, row in enumerate(syn.tolist()):
         mask = sum(w << (64 * q) for q, w in enumerate(row)) >> 1  # vertex v is bit v
         err = 0
-        for comp_mask in comp_masks.values():
+        for comp_mask in comp_masks:
             if mask & comp_mask:
                 err ^= _pairing(mask & comp_mask, memo, link)[1]
         raw[i * width : (i + 1) * width] = err.to_bytes(width, "little")
@@ -516,6 +517,55 @@ def _colex_layers(s: int, top: int):
         yield layer
 
 
+class EvenSets(NamedTuple):
+    """Every vertex set even in each component, up to a size, as one decoder batch.
+
+    ``syndromes`` packs the sets as ``DECODERS`` take them.  ``parts``
+    holds, per component, its vertices (ascending), its even layers (layer
+    i: every 2i-subset of local indices, in colex order) and each row's
+    entry in those layers read end to end, None meaning the row itself.
+    """
+
+    syndromes: np.ndarray
+    parts: tuple[tuple[list[int], list[np.ndarray], np.ndarray | None], ...]
+
+
+def _components(component: dict[int, int]) -> list[list[int]]:
+    """The vertices of each component, ascending, in label order."""
+    comps: dict[int, list[int]] = {}
+    for v, label in sorted(component.items()):
+        comps.setdefault(label, []).append(v)
+    return list(comps.values())
+
+
+def even_sets(component: dict[int, int], top: int) -> EvenSets:
+    """Every vertex set even in each component and of at most ``top`` vertices, as an ``EvenSets``.
+
+    ``component`` labels each vertex's component, and one pass of
+    ``_colex_layers`` per component gives its even layers.  The first
+    component's sets are the rows, in its table's order; each further one
+    pairs every row with each of its sets that keeps it within ``top``.
+    """
+    width = len(component) + 1  # vertex v is bit v
+    rows = np.zeros((1, width // 64 + 1), dtype=np.uint64)
+    parts = []
+    for verts in _components(component):
+        layers = [lay for lay in _colex_layers(len(verts), min(len(verts), top)) if lay.shape[1] % 2 == 0]
+        local = np.array(verts, dtype=np.min_scalar_type(width))
+        sets = np.concatenate([pack_positions(local.take(layer), width) for layer in layers])
+        if parts:  # the sets ascend in size, so the ones a row has room for are a prefix
+            room = top - np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
+            count = np.cumsum([len(layer) for layer in layers])[np.minimum(room // 2, len(layers) - 1)]
+            pick = np.repeat(np.arange(len(rows)), count)
+            entry = np.arange(len(pick)) - np.repeat(np.cumsum(count) - count, count)
+            rows = sets[entry] | rows[pick]
+            parts = [(vs, ls, pick if e is None else e[pick]) for vs, ls, e in parts]
+        else:
+            rows, entry = sets, None
+        parts.append((verts, layers, entry))
+    return EvenSets(rows, tuple(parts))
+
+
 def _pair_table(p: PathList, verts: list[int], words: int):
     """Layer 2 of a component: the (distance, path edge words) of each pair, in colex order."""
     s = len(verts)
@@ -536,24 +586,23 @@ def _pair_table(p: PathList, verts: list[int], words: int):
     return dist, errs
 
 
-def _component_table(p: PathList, verts: list[int], binom: np.ndarray, words: int) -> list[np.ndarray]:
-    """Errors of the min-length pairing of every even vertex set of one component, up to ``top`` >= 2.
+def _component_table(p: PathList, verts: list[int], layers: list[np.ndarray], words: int) -> np.ndarray:
+    """Errors of the min-length pairing of every set of one component's even ``layers``, 2 or more.
 
-    Entry r of layer j (j even) is the pairing of the j-subset of colex
-    rank r, as ``words`` uint64 words.  A layer is one pass per partner
-    column: the lowest vertex S[0] pairs with S[i], i = 1..j-1 in
-    ascending order, and the rest S minus {S[0], S[i]} is looked up by its
-    rank in layer j - 2.  A strict ``<`` keeps the first of equal weights,
-    the same tie-break as ``_pairing``.  ``binom[v, q]`` is C(v, q) for
-    v < len(verts), q <= top.
+    Entry r of layer j is the pairing of the j-subset of colex rank r, as
+    ``words`` uint64 words, and the layers are returned end to end.  A
+    layer is one pass per partner column: the lowest vertex S[0] pairs
+    with S[i], i = 1..j-1 in ascending order, and the rest S minus {S[0],
+    S[i]} is looked up by its rank in layer j - 2.  A strict ``<`` keeps
+    the first of equal weights, the same tie-break as ``_pairing``.
     """
-    s, top = len(verts), binom.shape[1] - 1
+    top = layers[-1].shape[1]
+    binom = np.array([[comb(v, q) for q in range(top + 1)] for v in range(len(verts))])
     pair_w, pair_e = _pair_table(p, verts, words)
     errs = [np.zeros((1, words), dtype=np.uint64), pair_e]
     prev_w = pair_w
-    for j, subsets in enumerate(_colex_layers(s, top)):
-        if j < 4 or j % 2:
-            continue
+    for subsets in layers[2:]:
+        j = subsets.shape[1]
         low = subsets[:, 0]
         # rank of S minus {S[0], S[1]}: S[q] sits at position q - 2
         rest = sum(binom[subsets[:, q], q - 1] for q in range(2, j))
@@ -571,37 +620,18 @@ def _component_table(p: PathList, verts: list[int], binom: np.ndarray, words: in
             best_pair = np.where(better, pair, best_pair)
         errs.append(errs[-1][best_rest] ^ pair_e[best_pair])
         prev_w = best_w
-    return errs
+    return np.concatenate(errs)
 
 
-def _table_decode(p: PathList, x: XorsatInstance, syn: np.ndarray, parts) -> np.ndarray:
-    """The min-length errors of a packed batch, read from one pairing table per component.
-
-    ``parts`` holds, per component, its vertices and the row sizes of the
-    batch's part in it.  Each row's part is located by its size and colex rank.
-    """
+def _table_decode(p: PathList, x: XorsatInstance, batch: EvenSets) -> np.ndarray:
+    """The min-length errors of an ``EvenSets`` batch, read from one pairing table per component."""
     words = (x.m + 63) // 64
-    err = np.zeros((len(syn), words), dtype=np.uint64)
-    for verts, sizes in parts:
-        top = int(sizes.max())
-        if top == 0:
-            continue
-        binom = np.array([[comb(v, q) for q in range(top + 1)] for v in range(len(verts))])
-        table = _component_table(p, verts, binom, words)
-        offset = np.cumsum([0] + [len(t) for t in table])
-        seen = np.zeros(len(syn), dtype=np.intp)
-        rank = np.zeros(len(syn), dtype=np.int64)
-        for q, v in enumerate(verts):  # the q-th set vertex adds C(local index, q)
-            col = (syn[:, v >> 6] >> np.uint64(v & 63)) & np.uint64(1) != 0
-            seen += col
-            rank += np.where(col, binom[q, seen], 0)
-        err ^= np.concatenate(table)[offset[sizes // 2] + rank]
+    err = np.zeros((len(batch.syndromes), words), dtype=np.uint64)
+    for verts, layers, entry in batch.parts:
+        if len(layers) > 1:
+            table = _component_table(p, verts, layers, words)
+            err ^= table if entry is None else table[entry]
     return err
-
-
-def _use_table(entries: int, rows: int) -> bool:
-    """Fill a pairing table when it has no more entries than the batch has rows."""
-    return entries <= rows
 
 
 def check_matching_capacity(syndromes: np.ndarray) -> None:
@@ -611,35 +641,26 @@ def check_matching_capacity(syndromes: np.ndarray) -> None:
         raise CapacityError(f"syndrome support {support} exceeds matching capacity {_T_CAP}")
 
 
-def min_length_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarray) -> np.ndarray:
+def min_length_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarray | EvenSets) -> np.ndarray:
     """Min-length-decode a batch of packed syndromes into packed errors, laid out as ``DECODERS`` says.
 
-    Each syndrome's support T is paired per component.  A batch with no
-    fewer rows than its pairing tables have entries (the even vertex sets
-    of each component up to the batch's largest part there), as every
-    exact profile's batch is, reads its errors from those tables, filled
-    layer by layer; any other batch runs ``_pairing`` with one memo of
-    solved vertex sets for the whole batch.  Both give the same errors.
-    Before any pairing, a T larger than ``_T_CAP`` raises CapacityError
-    and a component holding an odd part of T raises ValidationError.
+    Each syndrome's support T is paired per component.  An ``EvenSets``
+    reads each row's errors at its entries of one pairing table per
+    component, filled from the batch's own layers; an array runs
+    ``_pairing`` with one memo for the whole batch.  Both give the same
+    errors.  Before any pairing, a T larger than ``_T_CAP`` raises
+    CapacityError and, in an array, an odd part of T in a component
+    raises ValidationError.
     """
+    if isinstance(syndromes, EvenSets):
+        check_matching_capacity(syndromes.syndromes)
+        return _table_decode(p, x, syndromes)
     syn = np.asarray(syndromes, dtype=np.uint64)
     check_matching_capacity(syn)
-    comps: dict[int, list[int]] = {}
-    for v, label in sorted(p.component.items()):
-        comps.setdefault(label, []).append(v)
-    parts = []
-    for verts in comps.values():
+    for verts in _components(p.component):
         mask = pack_rows([np.isin(np.arange(syn.shape[1] * 64), verts)])
-        sizes = np.bitwise_count(syn & mask).sum(axis=1, dtype=np.intp)
-        if (sizes % 2).any():
+        if (np.bitwise_count(syn & mask).sum(axis=1, dtype=np.intp) % 2).any():
             raise ValidationError("odd syndrome parity within a component")
-        parts.append((verts, sizes))
-    entries = sum(
-        comb(len(verts), j) for verts, sizes in parts for j in range(2, int(sizes.max(initial=0)) + 1, 2)
-    )
-    if _use_table(entries, len(syn)):
-        return _table_decode(p, x, syn, parts)
     return _memo_decode(p, x, syn)
 
 

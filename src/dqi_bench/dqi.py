@@ -11,8 +11,10 @@ Everything here is classical, and densities are evaluated in closed form.
 Both decoders see only an error's syndrome, so the exact profile decodes
 once every syndrome an error of weight <= l can have (an even number of
 vertices per component, at most 2l in all) and keeps D_k as the decoded
-errors.  The Monte Carlo profile samples errors and decodes all of their
-syndromes.  Each profile is one decoder batch, which depends only on the
+errors; those syndromes are an ``EvenSets``, enumerated once in the
+min-length pairing tables' own order.  The Monte Carlo profile samples
+errors and decodes all of their syndromes, an array, which the min-length
+decoder pairs through its memo.  Each profile is one decoder batch, which depends only on the
 instance and l (and, when sampled, samples and seed), so decoders sharing
 an instance share one build of it.  In both, syndromes and errors are uint64 words from
 start to end, laid out like ``FailureProfile.decoded_words``: weights are
@@ -49,7 +51,8 @@ import numpy as np
 
 from ._stream import draw_shell
 from .decoder import (
-    DECODERS, ConstraintGraph, PathList, build_graph, build_path_list, pack_positions, pack_rows
+    DECODERS, ConstraintGraph, EvenSets, PathList, build_graph, build_path_list, even_sets, pack_positions,
+    pack_rows,
 )
 from .encoding import XorsatInstance
 from .errors import CapacityError, ValidationError
@@ -229,41 +232,10 @@ def check_exact_budget(x: XorsatInstance, l: int, graph: ConstraintGraph | None 
         )
 
 
-def _even_syndromes(component: dict[int, int], max_support: int) -> np.ndarray:
-    """Every syndrome even in each component with at most ``max_support`` vertices.
+def exact_syndromes(x: XorsatInstance, l: int, graph: ConstraintGraph | None = None) -> EvenSets:
+    """The syndromes an exact degree-l profile decodes, as one ``EvenSets`` batch.
 
-    ``component`` labels each vertex's component, and rows are bytes laid
-    out like the words of ``_incidence_words``.  Every vertex of a
-    component but its last is a free bit, set only while the syndrome stays
-    within ``max_support``; the last vertex takes the component's parity.
-    """
-    comps: dict[int, list[int]] = {}
-    for v, label in sorted(component.items()):
-        comps.setdefault(label, []).append(v - 1)
-    rows = np.zeros((1, 8 * (len(component) // 64 + 1)), dtype=np.uint8)
-    size = np.zeros(1, dtype=np.intp)
-    for verts in comps.values():
-        odd = np.zeros(len(rows), dtype=bool)
-        for v in verts[:-1]:
-            grow = size < max_support
-            added = rows[grow]
-            added[:, (v + 1) >> 3] |= np.uint8(1 << ((v + 1) & 7))
-            rows = np.concatenate([rows, added])
-            size = np.concatenate([size, size[grow] + 1])
-            odd = np.concatenate([odd, ~odd[grow]])
-        last = verts[-1] + 1
-        rows[odd, last >> 3] |= np.uint8(1 << (last & 7))
-        size += odd
-        keep = size <= max_support
-        rows, size = rows[keep], size[keep]
-    return rows
-
-
-def exact_syndromes(x: XorsatInstance, l: int, graph: ConstraintGraph | None = None) -> np.ndarray:
-    """The syndromes an exact degree-l profile decodes, in one batch.
-
-    Returns them as the (rows, n_vars // 64 + 1) uint64 words laid out like
-    ``_incidence_words`` that every entry of ``DECODERS`` takes.  The batch
+    Its ``syndromes`` are laid out like ``_incidence_words``.  The batch
     depends only on the instance and the degree, so every decoder of an
     instance can share it; its budget is checked before it is built.
     ``graph``, when given, is ``build_graph(x)``.
@@ -271,7 +243,7 @@ def exact_syndromes(x: XorsatInstance, l: int, graph: ConstraintGraph | None = N
     if graph is None:
         graph = build_graph(x)
     check_exact_budget(x, l, graph)
-    return _even_syndromes(graph.component, 2 * l).view("<u8")
+    return even_sets(graph.component, 2 * l)
 
 
 def _byte_table(rows: np.ndarray) -> np.ndarray:
@@ -308,7 +280,7 @@ def failure_profile_exact(
     x: XorsatInstance,
     l: int,
     paths: PathList | None = None,
-    syndromes: np.ndarray | None = None,
+    batch: EvenSets | None = None,
 ) -> FailureProfile:
     """Exact failure rates and correctly decoded sets D_k for every weight k <= l.
 
@@ -316,10 +288,11 @@ def failure_profile_exact(
     errors dec(T) of weight k whose own syndrome is T.  Each syndrome with
     an even number of vertices per component is decoded once, in one batch;
     only |T| <= 2l can matter, since a T-join has at least |T|/2 edges.
-    That batch is ``exact_syndromes(x, l)``, built here, budget check
-    first, unless ``syndromes`` passes it in, already built and so checked.
-    The decoder returns each error as uint64 words; its weight is a
-    popcount and its syndrome is checked against T on those words.  The
+    That batch is the ``EvenSets`` of ``exact_syndromes(x, l)``, built
+    here, budget check first, unless ``batch`` passes it in, already built
+    and so checked; being one, it takes the min-length pairing tables, not
+    the memo.  The decoder returns each error as uint64 words; its weight
+    is a popcount and its syndrome is checked against ``batch.syndromes``.  The
     errors kept are D_k, as ``FailureProfile.decoded_words``: one stable
     counting split groups them by weight, and within a weight they keep the
     batch's order.  eps_k = (C(m, k) - |D_k|) / C(m, k).  Raises
@@ -331,15 +304,15 @@ def failure_profile_exact(
         raise ValidationError(f"degree l={l} out of range 0..{x.m}")
     if decoder not in DECODERS:
         raise ValidationError(f"unknown decoder {decoder!r}")
-    if syndromes is None:
-        syndromes = exact_syndromes(x, l)
+    if batch is None:
+        batch = exact_syndromes(x, l)
     if paths is None:
         paths = build_path_list(build_graph(x))
-    err = DECODERS[decoder](paths, x, syndromes)
+    err = DECODERS[decoder](paths, x, batch)
     weight = np.bitwise_count(err).sum(axis=1, dtype=np.intp)
     keep = np.flatnonzero(weight <= l)
     err, weight = err[keep], weight[keep].astype(np.min_scalar_type(l))
-    ok = (_syndromes(x, err) == syndromes[keep]).all(axis=1)
+    ok = (_syndromes(x, err) == batch.syndromes[keep]).all(axis=1)
     err, weight = err[ok], weight[ok]
     err = err[np.argsort(weight, kind="stable")]  # a radix sort on these small integers
     bounds = np.cumsum(np.bincount(weight, minlength=l + 1))[:-1]

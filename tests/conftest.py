@@ -46,15 +46,15 @@ def ex1_paths(ex1_graph):
 
 @pytest.fixture()
 def syndrome_batches(monkeypatch):
-    """The max_support of every even-syndrome batch built while the test runs."""
+    """The largest set size of every even-set batch built while the test runs."""
     calls = []
-    build = dqi._even_syndromes
+    build = dqi.even_sets
 
-    def counting(component, max_support):
-        calls.append(max_support)
-        return build(component, max_support)
+    def counting(component, top):
+        calls.append(top)
+        return build(component, top)
 
-    monkeypatch.setattr(dqi, "_even_syndromes", counting)
+    monkeypatch.setattr(dqi, "even_sets", counting)
     return calls
 
 

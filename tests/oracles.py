@@ -93,6 +93,37 @@ def boundary_system(n_vars, m):
     return XorsatInstance(n_vars=n_vars, rows=rows, targets=tuple(j % 2 for j in range(m)))
 
 
+def even_syndromes(component: dict[int, int], max_support: int) -> np.ndarray:
+    """Every syndrome even in each component with at most ``max_support`` vertices, grown
+    one free bit at a time in binary-tree order.
+
+    ``component`` labels each vertex's component, and rows are bytes laid
+    out like the words ``DECODERS`` take.  Every vertex of a component but
+    its last is a free bit, set only while the syndrome stays within
+    ``max_support``; the last vertex takes the component's parity.
+    """
+    comps: dict[int, list[int]] = {}
+    for v, label in sorted(component.items()):
+        comps.setdefault(label, []).append(v - 1)
+    rows = np.zeros((1, 8 * (len(component) // 64 + 1)), dtype=np.uint8)
+    size = np.zeros(1, dtype=np.intp)
+    for verts in comps.values():
+        odd = np.zeros(len(rows), dtype=bool)
+        for v in verts[:-1]:
+            grow = size < max_support
+            added = rows[grow]
+            added[:, (v + 1) >> 3] |= np.uint8(1 << ((v + 1) & 7))
+            rows = np.concatenate([rows, added])
+            size = np.concatenate([size, size[grow] + 1])
+            odd = np.concatenate([odd, ~odd[grow]])
+        last = verts[-1] + 1
+        rows[odd, last >> 3] |= np.uint8(1 << (last & 7))
+        size += odd
+        keep = size <= max_support
+        rows, size = rows[keep], size[keep]
+    return rows
+
+
 def syndrome_words(syn) -> np.ndarray:
     """A (batch, n_vars) 0/1 array of syndromes as the words ``DECODERS`` take: vertex v is bit v."""
     return pack_rows(np.insert(np.asarray(syn, dtype=np.uint8), 0, 0, axis=1))

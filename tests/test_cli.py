@@ -264,6 +264,21 @@ def test_validation_error_exits_2(tmp_path, capsys):
     assert main(["validate-approx", "--n-list", "a", "-o", str(report)]) == 2
 
 
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_negative_seed_exits_2_in_every_mode(tmp_path, capsys, ex1_file, mode):
+    system, report = tmp_path / "xs.json", tmp_path / "r.csv"
+    assert main(["encode", "--reduce", "-i", str(ex1_file), "-o", str(system)]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["decode-stats", "-i", str(system), "--mode", mode, "--seed", "-1"],
+        ["bench", "-i", str(ex1_file), "--mode", mode, "--seed", "-1", "-o", str(report)],
+    ):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "seed must be >= 0, got -1" in out.err
+    assert not report.exists()
+
+
 def test_gen_refuses_past_the_car_cap_before_any_draw(monkeypatch, tmp_path, capsys):
     def refuse(seed):
         raise AssertionError("a generator was made")
@@ -389,6 +404,7 @@ BAD_ARGS = [
     ["decode-stats", "-i", "{system}", "--l", "100"],
     ["decode-stats", "-i", "{system}", "--mode", "approx", "--samples", "0"],
     ["decode-stats", "-i", "{system}", "--mode", "approx", "--seed", "-1"],
+    ["decode-stats", "-i", "{system}", "--seed", "-1"],
     ["circuit", "-i", "{system}"],
     ["bench", "--n-cars", "-1", "-o", "{out}"],
     ["bench", "--n-cars", "4", "-i", "{system}", "-o", "{out}"],

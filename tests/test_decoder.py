@@ -30,13 +30,13 @@ from dqi_bench import (
     write_circuit,
 )
 from dqi_bench import decoder
-from dqi_bench.decoder import DECODERS, pack_rows
-from dqi_bench.dqi import _even_syndromes
+from dqi_bench.decoder import DECODERS, even_sets, pack_rows
 from oracles import (
     bfs_distance,
     boundary_system,
     build_path_list_sorted,
     compile_gates,
+    even_syndromes,
     format_circuit_gates,
     graph_adjacency,
     greedy_decode_sets,
@@ -253,17 +253,23 @@ def test_weight_one_failures_match(ex1_paths, ex1_reduced):
     assert fails[greedy_decode] == fails[min_length_decode] == [(0, 0, 0, 0, 1)]
 
 
-# the two min-length paths: the pairing table, and the memoized recursion
-MIN_LENGTH_PATHS = (True, False)
+def batch_kinds(x, top):
+    """The two batch kinds the min-length decoder takes, on the same rows: every even
+    set up to ``top`` vertices, read from the pairing tables, and those rows as a plain
+    array, paired through the memo."""
+    batch = even_sets(build_graph(x).component, top)
+    return batch, batch.syndromes
 
 
 def test_min_length_capacity_error(monkeypatch, ex1_paths, ex1_reduced):
     # e1 + e3 touch four distinct vertices
+    x = ex1_reduced[0]
     monkeypatch.setattr(decoder, "_T_CAP", 2)
-    for table in MIN_LENGTH_PATHS:
-        monkeypatch.setattr(decoder, "_use_table", lambda entries, rows: table)
+    with pytest.raises(CapacityError):
+        min_length_decode(ex1_paths, x, (1, 0, 1, 0, 0))
+    for batch in batch_kinds(x, 4):  # both hold sets of four vertices
         with pytest.raises(CapacityError):
-            min_length_decode(ex1_paths, ex1_reduced[0], (1, 0, 1, 0, 0))
+            DECODERS["min-length"](ex1_paths, x, batch)
 
 
 def test_min_length_refuses_before_any_pairing(monkeypatch, ex1_paths, ex1_reduced):
@@ -280,14 +286,17 @@ def test_min_length_refuses_before_any_pairing(monkeypatch, ex1_paths, ex1_reduc
         DECODERS["min-length"](ex1_paths, x, syndrome_words([[1, 1, 0, 0], [1, 0, 0, 0]]))
 
 
-def test_min_length_odd_parity_error(monkeypatch):
+def test_min_length_odd_parity_error():
     # two components: {1, 2} and {3, 4}; T = {1, 3} is even overall but odd in each
     x = XorsatInstance(n_vars=4, rows=((1, 2), (3, 4)), targets=(0, 0))
     p = build_path_list(build_graph(x))
-    for table in MIN_LENGTH_PATHS:
-        monkeypatch.setattr(decoder, "_use_table", lambda entries, rows: table)
-        with pytest.raises(ValidationError, match="odd syndrome parity"):
-            DECODERS["min-length"](p, x, syndrome_words([[1, 0, 1, 0]]))
+    odd = syndrome_words([[1, 0, 1, 0]])
+    with pytest.raises(ValidationError, match="odd syndrome parity"):
+        DECODERS["min-length"](p, x, odd)
+    # an even-set batch holds only even parts, so it never holds T
+    batch, rows = batch_kinds(x, 4)
+    assert len(rows) == 4 and odd.tolist()[0] not in rows.tolist()
+    assert np.array_equal(DECODERS["min-length"](p, x, batch), DECODERS["min-length"](p, x, rows))
 
 
 def test_exact_batches_take_the_table(monkeypatch):
@@ -385,18 +394,17 @@ def test_min_length_batch_matches_pairing_oracle(x, masks):
         assert np.array_equal(row, pack_rows([want])[0])
 
 
-def test_min_length_batch_leaves_no_garbage(monkeypatch):
+def test_min_length_batch_leaves_no_garbage():
     # the shared memo and the table must die with the call, not wait in a reference cycle
     inst = generate_instance(8, 3)
     x = reduced_system(inst)
     p = build_path_list(build_graph(x))
     syn = syndrome_words([syndrome(x, y) for y in weight_k_errors(x.m, 2)])
-    for table in MIN_LENGTH_PATHS:
-        monkeypatch.setattr(decoder, "_use_table", lambda entries, rows: table)
+    for batch in (*batch_kinds(x, 4), syn):
         gc.collect()
         gc.disable()
         try:
-            DECODERS["min-length"](p, x, syn)
+            DECODERS["min-length"](p, x, batch)
             unreachable = gc.collect()
         finally:
             gc.enable()
@@ -408,17 +416,40 @@ def test_min_length_batch_leaves_no_garbage(monkeypatch):
 # T = {1, 2, 3, 4} on a square, where {1-2, 3-4} and {1-4, 2-3} tie
 @example(SQUARE)
 def test_min_length_paths_match_on_every_even_syndrome(x):
-    g = build_graph(x)
-    p = build_path_list(g)
-    packed = _even_syndromes(g.component, x.n_vars)
-    syn = np.unpackbits(packed, axis=1, count=x.n_vars + 1, bitorder="little")[:, 1:]
+    p = build_path_list(build_graph(x))
+    batch, rows = batch_kinds(x, x.n_vars)
+    syn = np.unpackbits(rows.view(np.uint8), axis=1, count=x.n_vars + 1, bitorder="little")[:, 1:]
     want = np.array([min_length_join(p, x, t) for t in syn.tolist()], dtype=np.uint8)
     want = pack_rows(want.reshape(len(syn), x.m))
-    for table in MIN_LENGTH_PATHS:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(decoder, "_use_table", lambda entries, rows: table)
-            got = DECODERS["min-length"](p, x, packed.view("<u8"))
+    table = DECODERS["min-length"](p, x, batch)
+    memo = DECODERS["min-length"](p, x, rows)
+    for got in (table, memo):
         assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parity_systems(), st.integers(0, 13))
+@example(XorsatInstance(n_vars=3, rows=((1, 3),), targets=(1,)), 2)  # vertex 2 is isolated
+@example(XorsatInstance(n_vars=5, rows=((1, 2), (3, 4), (4, 5)), targets=(0, 0, 1)), 4)  # two components
+@example(SQUARE, 3)  # an odd top keeps the sets of top - 1 vertices
+@example(SQUARE, 0)  # only the empty set
+def test_even_sets_match_the_oracle(x, top):
+    g = build_graph(x)
+    batch = even_sets(g.component, top)
+    want = even_syndromes(g.component, top).view("<u8")
+    assert batch.syndromes.dtype == np.uint64 and batch.syndromes.shape == want.shape
+    assert sorted(batch.syndromes.tolist()) == sorted(want.tolist())
+    # each row is the union of its parts, each part read from its component's layers at its entry
+    parts = [[] for _ in batch.syndromes]
+    for verts, layers, entry in batch.parts:
+        sets = [[verts[i] for i in subset] for layer in layers for subset in layer.tolist()]
+        assert all(len(subset) % 2 == 0 for subset in sets)
+        entries = range(len(sets)) if entry is None else entry.tolist()
+        assert len(entries) == len(parts)
+        for part, e in zip(parts, entries):
+            part += sets[e]
+    bits = np.unpackbits(batch.syndromes.view(np.uint8), axis=1, count=x.n_vars + 1, bitorder="little")
+    assert [sorted(part) for part in parts] == [np.flatnonzero(row).tolist() for row in bits]
 
 
 @pytest.mark.parametrize("n_vars, m", [(63, 64), (63, 65), (64, 64), (64, 65)])
@@ -435,15 +466,19 @@ def test_decoders_take_and_return_packed_words(n_vars, m):
         name: pack_rows([oracle(p, x, y).decoded_error for y in ys])
         for name, oracle in (("greedy", greedy_decode_sets), ("min-length", min_length_decode_pairs))
     }
-    for table in MIN_LENGTH_PATHS:  # only the min-length decoder has two paths
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(decoder, "_use_table", lambda entries, rows: table)
-            got = {name: decode(p, x, syn) for name, decode in DECODERS.items()}
-        for name, words in got.items():
-            assert words.dtype == np.uint64 and words.shape == (len(ys), -(-m // 64))
-            bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-            assert not bits[:, m:].any()  # the padding bits are 0
-            assert np.array_equal(words, want[name]), (name, table)
+    got = {name: decode(p, x, syn) for name, decode in DECODERS.items()}
+    # an even-set batch: greedy reads its rows, the min-length decoder its pairing tables
+    batch, rows = batch_kinds(x, 2)
+    t = np.unpackbits(rows.view(np.uint8), axis=1, count=n_vars + 1, bitorder="little")[:, 1:]
+    got["greedy", "even sets"] = DECODERS["greedy"](p, x, batch)
+    want["greedy", "even sets"] = DECODERS["greedy"](p, x, rows)
+    got["min-length", "even sets"] = DECODERS["min-length"](p, x, batch)
+    want["min-length", "even sets"] = pack_rows([min_length_join(p, x, row) for row in t.tolist()])
+    for name, words in got.items():
+        assert words.dtype == np.uint64 and words.shape == (len(want[name]), -(-m // 64))
+        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+        assert not bits[:, m:].any()  # the padding bits are 0
+        assert np.array_equal(words, want[name]), name
 
 
 # ----------------------------------------------------------------- circuit

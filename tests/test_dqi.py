@@ -30,7 +30,7 @@ from dqi_bench import (
     syndrome,
 )
 from dqi_bench import dqi
-from dqi_bench.decoder import pack_rows
+from dqi_bench.decoder import EvenSets, pack_rows
 from dqi_bench.dqi import sample_shell_error
 from oracles import (
     amplitude_oracle,
@@ -331,8 +331,8 @@ def brute_force_sets(decode, x, l):
 def test_profile_counts_only_exact_decodes(monkeypatch, ex1_reduced):
     # a decoder answering every nonzero syndrome with all rows covers each
     # weight-1 error's position, yet returns a different error
-    def all_rows(p, x, syndromes):
-        return pack_rows(np.repeat(syndromes.any(axis=1, keepdims=True), x.m, axis=1))
+    def all_rows(p, x, batch):
+        return pack_rows(np.repeat(batch.syndromes.any(axis=1, keepdims=True), x.m, axis=1))
 
     monkeypatch.setitem(dqi.DECODERS, "greedy", all_rows)
     assert failure_profile_exact("greedy", ex1_reduced[0], 1).eps == (0.0, 1.0)
@@ -349,6 +349,8 @@ def test_profile_checks_each_decoded_syndrome(monkeypatch, x):
 
     def rotating(p, x, syndromes):
         out = decode(p, x, syndromes)
+        if isinstance(syndromes, EvenSets):  # the exact profile's batch
+            syndromes = syndromes.syndromes
         hit = syndromes[:, 0] & np.uint64(2) != 0  # vertex 1 is bit 1
         out[hit] = pack_rows(np.roll(error_bits(out[hit], x.m), 1, axis=1))
         return out
