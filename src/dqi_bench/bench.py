@@ -227,9 +227,9 @@ class _Instance:
     first use and only once, and so do the Monte Carlo shells of each
     (degree, samples, seed) and their syndromes, which every decoder scores
     and the matching-capacity check reads, and the
-    even-set batch of each exact degree (an ``EvenSets``, in the colex
-    order of the min-length pairing tables), which every decoder decodes;
-    building that batch checks its budget, once per degree.
+    even-set batches of each exact degree (one ``EvenSets`` per component,
+    in the colex order of the min-length pairing tables), which every
+    decoder decodes; building them checks their budget, once per degree.
     """
 
     def __init__(self, inst: BpspInstance, encoding: str, reduce: bool):
@@ -239,7 +239,7 @@ class _Instance:
         self.order = _elimination_order(self.x.n_vars, _pair_scores(self.x))
         self._weights: dict[int, DickeWeights] = {}
         self._shells: dict[tuple[int, int, int], tuple[list[np.ndarray], np.ndarray]] = {}
-        self._syndromes: dict[int, EvenSets] = {}
+        self._syndromes: dict[int, list[EvenSets]] = {}
 
     @cached_property
     def graph(self) -> ConstraintGraph:
@@ -258,7 +258,7 @@ class _Instance:
             self._weights[degree] = dicke_weights(self.x.m, degree)
         return self._weights[degree]
 
-    def syndromes(self, l: int) -> EvenSets:
+    def syndromes(self, l: int) -> list[EvenSets]:
         if l not in self._syndromes:
             self._syndromes[l] = exact_syndromes(self.x, l, self.graph)
         return self._syndromes[l]
@@ -271,12 +271,12 @@ class _Instance:
     def check_matching_capacity(self, l: int, samples: int, seed: int) -> None:
         """Refuse drawn errors whose syndromes the min-length decoder cannot pair."""
         _, syndromes = self.shells(l, samples, seed)
-        check_matching_capacity(syndromes)
+        check_matching_capacity(syndromes, self.graph.component)
 
     def profile(self, decoder: str, exact: bool, l: int, samples: int, seed: int):
         if exact:
             return failure_profile_exact(
-                decoder, self.x, l, paths=self.paths, batch=self.syndromes(l)
+                decoder, self.x, l, paths=self.paths, batches=self.syndromes(l)
             )
         return failure_profile_mc(
             decoder, self.x, l, samples=samples, seed=seed, paths=self.paths,

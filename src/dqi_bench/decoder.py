@@ -28,12 +28,13 @@ j (0-based) being bit j % 64 of word j // 64 and the padding bits 0;
 positions.  The greedy scan runs once per batch over bit-sliced ints.
 The minimum-weight T-join is a minimum pairing of T over shortest paths
 (Edmonds and Johnson, "Matching, Euler tours and the Chinese postman",
-Math. Prog. 1973).  An exact profile's batch is an ``EvenSets``, every
-even vertex set up to a size in the pairing tables' own colex order; it
-fills one table per component, layer by layer in set size, with one
-vectorized pass per partner column.  An array pairs each part
-recursively, sharing one memo of solved vertex sets.  Both give the same
-errors.  ``greedy_decode`` and ``min_length_decode`` are batches of one.
+Math. Prog. 1973).  An exact profile decodes one ``EvenSets`` per
+component, its even vertex sets up to a size in the pairing table's own
+colex order; the min-length errors of that batch are the table itself,
+filled layer by layer in set size, with one vectorized pass per partner
+column.  An array pairs each component's part recursively, sharing one
+memo of solved vertex sets.  Both give the same errors.
+``greedy_decode`` and ``min_length_decode`` are batches of one.
 The scan translates gate-for-gate into a reversible circuit of
 CNOT/Toffoli gates over three registers (syndrome, one flag qubit per
 path, error), which is what makes it attractive as an in-circuit decoder.
@@ -509,25 +510,26 @@ def _colex_layers(s: int, top: int):
     layer = np.zeros((1, 0), dtype=dtype)
     yield layer
     for j in range(1, top + 1):
-        blocks = []
-        for c in range(j - 1, s):
-            head = layer[: comb(c, j - 1)]
-            blocks.append(np.column_stack([head, np.full(len(head), c, dtype=dtype)]))
-        layer = np.concatenate(blocks)
+        head, layer = layer, np.empty((comb(s, j), j), dtype=dtype)
+        for c in range(j - 1, s):  # rows C(c, j) up to C(c + 1, j) end in c
+            lo, hi = comb(c, j), comb(c + 1, j)
+            layer[lo:hi, :-1] = head[: hi - lo]
+            layer[lo:hi, -1] = c
         yield layer
 
 
 class EvenSets(NamedTuple):
-    """Every vertex set even in each component, up to a size, as one decoder batch.
+    """Every even vertex set of one component, up to a size, as one decoder batch.
 
-    ``syndromes`` packs the sets as ``DECODERS`` take them.  ``parts``
-    holds, per component, its vertices (ascending), its even layers (layer
-    i: every 2i-subset of local indices, in colex order) and each row's
-    entry in those layers read end to end, None meaning the row itself.
+    ``verts`` are the component's vertices, ascending, and ``layers`` its
+    even layers (layer i: every 2i-subset of indices into ``verts``, in
+    colex order).  ``syndromes`` packs those sets, read end to end, as
+    ``DECODERS`` take them.
     """
 
     syndromes: np.ndarray
-    parts: tuple[tuple[list[int], list[np.ndarray], np.ndarray | None], ...]
+    verts: list[int]
+    layers: list[np.ndarray]
 
 
 def _components(component: dict[int, int]) -> list[list[int]]:
@@ -538,32 +540,16 @@ def _components(component: dict[int, int]) -> list[list[int]]:
     return list(comps.values())
 
 
-def even_sets(component: dict[int, int], top: int) -> EvenSets:
-    """Every vertex set even in each component and of at most ``top`` vertices, as an ``EvenSets``.
+def even_sets(verts: list[int], n_vars: int, top: int) -> EvenSets:
+    """Every even subset of one component's ``verts`` (ascending) of at most ``top`` vertices.
 
-    ``component`` labels each vertex's component, and one pass of
-    ``_colex_layers`` per component gives its even layers.  The first
-    component's sets are the rows, in its table's order; each further one
-    pairs every row with each of its sets that keeps it within ``top``.
+    One pass of ``_colex_layers`` gives the even layers, and the syndromes
+    are packed for a system of ``n_vars`` variables.
     """
-    width = len(component) + 1  # vertex v is bit v
-    rows = np.zeros((1, width // 64 + 1), dtype=np.uint64)
-    parts = []
-    for verts in _components(component):
-        layers = [lay for lay in _colex_layers(len(verts), min(len(verts), top)) if lay.shape[1] % 2 == 0]
-        local = np.array(verts, dtype=np.min_scalar_type(width))
-        sets = np.concatenate([pack_positions(local.take(layer), width) for layer in layers])
-        if parts:  # the sets ascend in size, so the ones a row has room for are a prefix
-            room = top - np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
-            count = np.cumsum([len(layer) for layer in layers])[np.minimum(room // 2, len(layers) - 1)]
-            pick = np.repeat(np.arange(len(rows)), count)
-            entry = np.arange(len(pick)) - np.repeat(np.cumsum(count) - count, count)
-            rows = sets[entry] | rows[pick]
-            parts = [(vs, ls, pick if e is None else e[pick]) for vs, ls, e in parts]
-        else:
-            rows, entry = sets, None
-        parts.append((verts, layers, entry))
-    return EvenSets(rows, tuple(parts))
+    layers = [lay for lay in _colex_layers(len(verts), min(len(verts), top)) if lay.shape[1] % 2 == 0]
+    local = np.array(verts, dtype=np.min_scalar_type(n_vars + 1))
+    syndromes = np.concatenate([pack_positions(local.take(layer), n_vars + 1) for layer in layers])
+    return EvenSets(syndromes, verts, layers)
 
 
 def _pair_table(p: PathList, verts: list[int], words: int):
@@ -587,7 +573,7 @@ def _pair_table(p: PathList, verts: list[int], words: int):
 
 
 def _component_table(p: PathList, verts: list[int], layers: list[np.ndarray], words: int) -> np.ndarray:
-    """Errors of the min-length pairing of every set of one component's even ``layers``, 2 or more.
+    """Errors of the min-length pairing of every set of one component's even ``layers``.
 
     Entry r of layer j is the pairing of the j-subset of colex rank r, as
     ``words`` uint64 words, and the layers are returned end to end.  A
@@ -599,7 +585,7 @@ def _component_table(p: PathList, verts: list[int], layers: list[np.ndarray], wo
     top = layers[-1].shape[1]
     binom = np.array([[comb(v, q) for q in range(top + 1)] for v in range(len(verts))])
     pair_w, pair_e = _pair_table(p, verts, words)
-    errs = [np.zeros((1, words), dtype=np.uint64), pair_e]
+    errs = [np.zeros((1, words), dtype=np.uint64), pair_e][: len(layers)]
     prev_w = pair_w
     for subsets in layers[2:]:
         j = subsets.shape[1]
@@ -623,44 +609,44 @@ def _component_table(p: PathList, verts: list[int], layers: list[np.ndarray], wo
     return np.concatenate(errs)
 
 
-def _table_decode(p: PathList, x: XorsatInstance, batch: EvenSets) -> np.ndarray:
-    """The min-length errors of an ``EvenSets`` batch, read from one pairing table per component."""
-    words = (x.m + 63) // 64
-    err = np.zeros((len(batch.syndromes), words), dtype=np.uint64)
-    for verts, layers, entry in batch.parts:
-        if len(layers) > 1:
-            table = _component_table(p, verts, layers, words)
-            err ^= table if entry is None else table[entry]
-    return err
-
-
-def check_matching_capacity(syndromes: np.ndarray) -> None:
-    """Refuse packed syndromes past ``_T_CAP`` vertices, the most the min-length decoder pairs."""
-    support = int(np.bitwise_count(syndromes).sum(axis=1, dtype=np.intp).max(initial=0))
+def _check_support(support: int) -> None:
     if support > _T_CAP:
         raise CapacityError(f"syndrome support {support} exceeds matching capacity {_T_CAP}")
+
+
+def check_matching_capacity(syndromes: np.ndarray, component: dict[int, int]) -> np.ndarray:
+    """Refuse packed syndromes with more than ``_T_CAP`` vertices in one component, the most the
+    min-length decoder pairs there.
+
+    ``component`` labels each vertex's component.  Returns the number of
+    vertices each row holds in each component, one row per component.
+    """
+    syn = np.asarray(syndromes, dtype=np.uint64)
+    bits = np.arange(64 * syn.shape[1])  # vertex v is bit v
+    sizes = np.array([
+        np.bitwise_count(syn & pack_rows([np.isin(bits, verts)])).sum(axis=1, dtype=np.intp)
+        for verts in _components(component)
+    ]).reshape(-1, len(syn))
+    _check_support(int(sizes.max(initial=0)))
+    return sizes
 
 
 def min_length_decode_batch(p: PathList, x: XorsatInstance, syndromes: np.ndarray | EvenSets) -> np.ndarray:
     """Min-length-decode a batch of packed syndromes into packed errors, laid out as ``DECODERS`` says.
 
     Each syndrome's support T is paired per component.  An ``EvenSets``
-    reads each row's errors at its entries of one pairing table per
-    component, filled from the batch's own layers; an array runs
-    ``_pairing`` with one memo for the whole batch.  Both give the same
-    errors.  Before any pairing, a T larger than ``_T_CAP`` raises
-    CapacityError and, in an array, an odd part of T in a component
-    raises ValidationError.
+    is its component's pairing table, filled from the batch's own layers;
+    an array runs ``_pairing`` with one memo for the whole batch.  Both give
+    the same errors.  Before any pairing, more than ``_T_CAP`` vertices of T
+    in one component raise CapacityError and, in an array, an odd part of T
+    in a component raises ValidationError.
     """
     if isinstance(syndromes, EvenSets):
-        check_matching_capacity(syndromes.syndromes)
-        return _table_decode(p, x, syndromes)
+        _check_support(syndromes.layers[-1].shape[1])
+        return _component_table(p, syndromes.verts, syndromes.layers, (x.m + 63) // 64)
     syn = np.asarray(syndromes, dtype=np.uint64)
-    check_matching_capacity(syn)
-    for verts in _components(p.component):
-        mask = pack_rows([np.isin(np.arange(syn.shape[1] * 64), verts)])
-        if (np.bitwise_count(syn & mask).sum(axis=1, dtype=np.intp) % 2).any():
-            raise ValidationError("odd syndrome parity within a component")
+    if (check_matching_capacity(syn, p.component) % 2).any():
+        raise ValidationError("odd syndrome parity within a component")
     return _memo_decode(p, x, syn)
 
 

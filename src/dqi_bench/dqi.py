@@ -8,17 +8,18 @@ correctly decoded weight-k errors; the probability density of measuring an
 assignment x combines the per-shell signed sums over D_k.
 
 Everything here is classical, and densities are evaluated in closed form.
-Both decoders see only an error's syndrome, so the exact profile decodes
-once every syndrome an error of weight <= l can have (an even number of
-vertices per component, at most 2l in all) and keeps D_k as the decoded
-errors; those syndromes are an ``EvenSets``, enumerated once in the
-min-length pairing tables' own order.  The Monte Carlo profile samples
-errors and decodes all of their syndromes, an array, which the min-length
-decoder pairs through its memo.  Each profile is one decoder batch, which depends only on the
-instance and l (and, when sampled, samples and seed), so decoders sharing
-an instance share one build of it.  In both, syndromes and errors are uint64 words from
-start to end, laid out like ``FailureProfile.decoded_words``: weights are
-popcounts, an error's syndrome is one table lookup per byte of its words
+Both decoders see only an error's syndrome, and both split over the
+components of the row graph, so the exact profile decodes each
+component's even vertex sets of at most 2l vertices once, as one
+``EvenSets`` in the min-length pairing table's own order, keeps that
+component's D_k as the decoded errors and joins the components' D_k by
+weight.  The Monte Carlo profile samples errors and decodes all of their
+syndromes as one array, which the min-length decoder pairs through its
+memo.  The batches depend only on the instance and l (and, when sampled,
+samples and seed), so decoders sharing an instance share one build of
+them.  In both, syndromes and errors are uint64 words from start to end,
+laid out like ``FailureProfile.decoded_words``: weights are popcounts, an
+error's syndrome is one table lookup per byte of its words
 (``_syndromes``), and an error decodes correctly when the decoder returns
 its own words.  No pipeline run holds errors as positions; only the
 enumeration of a small shell and the rare redrawn sample pass through
@@ -51,8 +52,8 @@ import numpy as np
 
 from ._stream import draw_shell
 from .decoder import (
-    DECODERS, ConstraintGraph, EvenSets, PathList, build_graph, build_path_list, even_sets, pack_positions,
-    pack_rows,
+    DECODERS, ConstraintGraph, EvenSets, PathList, _components, build_graph, build_path_list, even_sets,
+    pack_positions, pack_rows,
 )
 from .encoding import XorsatInstance
 from .errors import CapacityError, ValidationError
@@ -232,18 +233,19 @@ def check_exact_budget(x: XorsatInstance, l: int, graph: ConstraintGraph | None 
         )
 
 
-def exact_syndromes(x: XorsatInstance, l: int, graph: ConstraintGraph | None = None) -> EvenSets:
-    """The syndromes an exact degree-l profile decodes, as one ``EvenSets`` batch.
+def exact_syndromes(x: XorsatInstance, l: int, graph: ConstraintGraph | None = None) -> list[EvenSets]:
+    """The syndromes an exact degree-l profile decodes, as one ``EvenSets`` batch per component.
 
-    Its ``syndromes`` are laid out like ``_incidence_words``.  The batch
-    depends only on the instance and the degree, so every decoder of an
-    instance can share it; its budget is checked before it is built.
-    ``graph``, when given, is ``build_graph(x)``.
+    Component c's batch holds its even vertex sets of at most 2l vertices,
+    laid out like ``_incidence_words``.  The batches depend only on the
+    instance and the degree, so every decoder of an instance can share
+    them; the budget is checked before any is built.  ``graph``, when
+    given, is ``build_graph(x)``.
     """
     if graph is None:
         graph = build_graph(x)
     check_exact_budget(x, l, graph)
-    return even_sets(graph.component, 2 * l)
+    return [even_sets(verts, x.n_vars, 2 * l) for verts in _components(graph.component)]
 
 
 def _byte_table(rows: np.ndarray) -> np.ndarray:
@@ -280,43 +282,52 @@ def failure_profile_exact(
     x: XorsatInstance,
     l: int,
     paths: PathList | None = None,
-    batch: EvenSets | None = None,
+    batches: list[EvenSets] | None = None,
 ) -> FailureProfile:
     """Exact failure rates and correctly decoded sets D_k for every weight k <= l.
 
     Both decoders see only the syndrome T, so D_k is the set of decoded
-    errors dec(T) of weight k whose own syndrome is T.  Each syndrome with
-    an even number of vertices per component is decoded once, in one batch;
-    only |T| <= 2l can matter, since a T-join has at least |T|/2 edges.
-    That batch is the ``EvenSets`` of ``exact_syndromes(x, l)``, built
-    here, budget check first, unless ``batch`` passes it in, already built
-    and so checked; being one, it takes the min-length pairing tables, not
-    the memo.  The decoder returns each error as uint64 words; its weight
-    is a popcount and its syndrome is checked against ``batch.syndromes``.  The
-    errors kept are D_k, as ``FailureProfile.decoded_words``: one stable
-    counting split groups them by weight, and within a weight they keep the
-    batch's order.  eps_k = (C(m, k) - |D_k|) / C(m, k).  Raises
-    CapacityError when that means more than ``ENUMERATION_BUDGET``
-    syndromes (at most 2^(n-c) for n variables in c components); Monte
-    Carlo mode is the fallback at that point.
+    errors dec(T) of weight k whose own syndrome is T.  Both split over the
+    components of the row graph, so each component's even vertex sets are
+    decoded apart, one batch per component; only |T| <= 2l can matter,
+    since a T-join has at least |T|/2 edges.  The batches are
+    ``exact_syndromes(x, l)``, built here, budget check first, unless
+    ``batches`` passes them in.  The decoder returns each error as uint64
+    words; its weight is a popcount and its syndrome is checked against the
+    batch's.  One stable counting
+    split groups a component's errors by weight, in batch order within a
+    weight.  From the second component on, D_k is the weight-join of the
+    components so far with this one, each error of weight a there ORed
+    with each of weight k - a here.  eps_k = (C(m, k) - |D_k|) / C(m, k).
+    Raises CapacityError when the components' syndromes multiply to more
+    than ``ENUMERATION_BUDGET`` (at most 2^(n-c) for n variables in c
+    components); Monte Carlo mode is the fallback at that point.
     """
     if not 0 <= l <= x.m:
         raise ValidationError(f"degree l={l} out of range 0..{x.m}")
     if decoder not in DECODERS:
         raise ValidationError(f"unknown decoder {decoder!r}")
-    if batch is None:
-        batch = exact_syndromes(x, l)
+    if batches is None:
+        batches = exact_syndromes(x, l)
     if paths is None:
         paths = build_path_list(build_graph(x))
-    err = DECODERS[decoder](paths, x, batch)
-    weight = np.bitwise_count(err).sum(axis=1, dtype=np.intp)
-    keep = np.flatnonzero(weight <= l)
-    err, weight = err[keep], weight[keep].astype(np.min_scalar_type(l))
-    ok = (_syndromes(x, err) == batch.syndromes[keep]).all(axis=1)
-    err, weight = err[ok], weight[ok]
-    err = err[np.argsort(weight, kind="stable")]  # a radix sort on these small integers
-    bounds = np.cumsum(np.bincount(weight, minlength=l + 1))[:-1]
-    decoded_words = tuple(np.split(err, bounds))
+    table = _byte_table(_incidence_words(x))
+    words = (x.m + 63) // 64
+    decoded_words = [np.zeros((int(k == 0), words), dtype=np.uint64) for k in range(l + 1)]
+    for c, batch in enumerate(batches):
+        err = DECODERS[decoder](paths, x, batch)
+        weight = np.bitwise_count(err).sum(axis=1, dtype=np.intp)
+        keep = np.flatnonzero(weight <= l)
+        err, weight = err[keep], weight[keep].astype(np.min_scalar_type(l))
+        ok = (_xor_rows(table, err) == batch.syndromes[keep]).all(axis=1)
+        err, weight = err[ok], weight[ok]
+        err = err[np.argsort(weight, kind="stable")]  # a radix sort on these small integers
+        shells = np.split(err, np.cumsum(np.bincount(weight, minlength=l + 1))[:-1])
+        if c:  # D_k = U_a D_a(components so far) | D_(k - a)(this one), on disjoint rows
+            shells = [np.concatenate([(a[:, None] | b[None]).reshape(len(a) * len(b), words)
+                                      for a, b in zip(decoded_words[: k + 1], shells[k::-1])])
+                      for k in range(l + 1)]
+        decoded_words = shells
     sizes = tuple(comb(x.m, k) for k in range(l + 1))
     return FailureProfile(
         mode="exact",
@@ -325,7 +336,7 @@ def failure_profile_exact(
         l=l,
         eps=tuple((size - len(d_k)) / size for size, d_k in zip(sizes, decoded_words)),
         shell_sizes=sizes,
-        decoded_words=decoded_words,
+        decoded_words=tuple(decoded_words),
     )
 
 

@@ -7,6 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from dqi_bench import (
     BpspInstance,
+    bench,
     build_graph,
     build_path_list,
     dqi,
@@ -46,15 +47,16 @@ def ex1_paths(ex1_graph):
 
 @pytest.fixture()
 def syndrome_batches(monkeypatch):
-    """The largest set size of every even-set batch built while the test runs."""
+    """The largest set size, 2l, of every exact degree-l syndrome build while the test runs."""
     calls = []
-    build = dqi.even_sets
+    build = dqi.exact_syndromes
 
-    def counting(component, top):
-        calls.append(top)
-        return build(component, top)
+    def counting(x, l, graph=None):
+        calls.append(2 * l)
+        return build(x, l, graph)
 
-    monkeypatch.setattr(dqi, "even_sets", counting)
+    monkeypatch.setattr(dqi, "exact_syndromes", counting)
+    monkeypatch.setattr(bench, "exact_syndromes", counting)
     return calls
 
 

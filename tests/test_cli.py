@@ -4,6 +4,7 @@ import json
 import pytest
 
 from dqi_bench import (
+    XorsatInstance,
     bench,
     dqi,
     encode_icc,
@@ -318,6 +319,23 @@ def test_decode_stats_exact_over_budget_exits_3(tmp_path, capsys):
     assert f"syndromes (> budget {dqi.ENUMERATION_BUDGET})" in capsys.readouterr().err
     code, summary = run_cli(capsys, "decode-stats", "-i", str(system), "--mode", "exact", "--l", "2")
     assert code == 0 and len(summary["eps"]) == 3
+
+
+def test_min_length_pairs_each_component_apart(tmp_path, capsys):
+    # 15 disjoint edges: T holds 24 vertices at l = 12, but only 2 in any one component
+    x = XorsatInstance(n_vars=30, rows=tuple((v, v + 1) for v in range(1, 30, 2)), targets=(0,) * 15)
+    system = tmp_path / "edges.json"
+    write_xorsat(x, system)
+    for mode in ("exact", "approx"):
+        eps = {}
+        for decoder in ("greedy", "min-length"):
+            code, summary = run_cli(
+                capsys, "decode-stats", "-i", str(system), "--decoder", decoder, "--mode", mode, "--l", "12",
+            )
+            assert code == 0
+            eps[decoder] = summary["eps"]
+        # every component is one edge, so both decoders are exact there
+        assert eps["min-length"] == eps["greedy"] == [0.0] * 13
 
 
 def test_bench_exact_reaches_20_cars(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import gc
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -254,11 +255,11 @@ def test_weight_one_failures_match(ex1_paths, ex1_reduced):
 
 
 def batch_kinds(x, top):
-    """The two batch kinds the min-length decoder takes, on the same rows: every even
-    set up to ``top`` vertices, read from the pairing tables, and those rows as a plain
-    array, paired through the memo."""
-    batch = even_sets(build_graph(x).component, top)
-    return batch, batch.syndromes
+    """Per component, the two batch kinds the min-length decoder takes, on the same rows:
+    the component's even sets up to ``top`` vertices, read from its pairing table, and
+    those rows as a plain array, paired through the memo."""
+    batches = [even_sets(verts, x.n_vars, top) for verts in decoder._components(build_graph(x).component)]
+    return [(batch, batch.syndromes) for batch in batches]
 
 
 def test_min_length_capacity_error(monkeypatch, ex1_paths, ex1_reduced):
@@ -267,7 +268,8 @@ def test_min_length_capacity_error(monkeypatch, ex1_paths, ex1_reduced):
     monkeypatch.setattr(decoder, "_T_CAP", 2)
     with pytest.raises(CapacityError):
         min_length_decode(ex1_paths, x, (1, 0, 1, 0, 0))
-    for batch in batch_kinds(x, 4):  # both hold sets of four vertices
+    (kinds,) = batch_kinds(x, 4)  # one component; both kinds hold sets of four vertices
+    for batch in kinds:
         with pytest.raises(CapacityError):
             DECODERS["min-length"](ex1_paths, x, batch)
 
@@ -276,7 +278,7 @@ def test_min_length_refuses_before_any_pairing(monkeypatch, ex1_paths, ex1_reduc
     # the offending syndrome comes last, yet no row is paired before the refusal
     x = ex1_reduced[0]
     syn = syndrome_words([[1, 1, 0, 0], [1, 1, 1, 1]])
-    for name in ("_table_decode", "_memo_decode"):
+    for name in ("_component_table", "_memo_decode"):
         monkeypatch.setattr(decoder, name, lambda *args: pytest.fail("paired before the check"))
     monkeypatch.setattr(decoder, "_T_CAP", 2)
     with pytest.raises(CapacityError):
@@ -293,10 +295,23 @@ def test_min_length_odd_parity_error():
     odd = syndrome_words([[1, 0, 1, 0]])
     with pytest.raises(ValidationError, match="odd syndrome parity"):
         DECODERS["min-length"](p, x, odd)
-    # an even-set batch holds only even parts, so it never holds T
-    batch, rows = batch_kinds(x, 4)
-    assert len(rows) == 4 and odd.tolist()[0] not in rows.tolist()
-    assert np.array_equal(DECODERS["min-length"](p, x, batch), DECODERS["min-length"](p, x, rows))
+    # an even-set batch holds one component's even parts, so it never holds T
+    for batch, rows in batch_kinds(x, 4):
+        assert len(rows) == 2 and odd.tolist()[0] not in rows.tolist()
+        assert np.array_equal(DECODERS["min-length"](p, x, batch), DECODERS["min-length"](p, x, rows))
+
+
+def test_matching_capacity_counts_each_component_apart(monkeypatch):
+    # two components of four vertices: T = all eight holds four in each
+    x = XorsatInstance(n_vars=8, rows=((1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)), targets=(0,) * 6)
+    p = build_path_list(build_graph(x))
+    syn = syndrome_words([[1] * 8])
+    monkeypatch.setattr(decoder, "_T_CAP", 4)
+    assert decoder.check_matching_capacity(syn, p.component).tolist() == [[4], [4]]
+    assert np.array_equal(DECODERS["min-length"](p, x, syn), pack_rows([[1, 0, 1, 1, 0, 1]]))
+    monkeypatch.setattr(decoder, "_T_CAP", 2)
+    with pytest.raises(CapacityError, match="syndrome support 4 exceeds matching capacity 2"):
+        DECODERS["min-length"](p, x, syn)
 
 
 def test_exact_batches_take_the_table(monkeypatch):
@@ -400,7 +415,7 @@ def test_min_length_batch_leaves_no_garbage():
     x = reduced_system(inst)
     p = build_path_list(build_graph(x))
     syn = syndrome_words([syndrome(x, y) for y in weight_k_errors(x.m, 2)])
-    for batch in (*batch_kinds(x, 4), syn):
+    for batch in (*(kind for kinds in batch_kinds(x, 4) for kind in kinds), syn):
         gc.collect()
         gc.disable()
         try:
@@ -417,14 +432,14 @@ def test_min_length_batch_leaves_no_garbage():
 @example(SQUARE)
 def test_min_length_paths_match_on_every_even_syndrome(x):
     p = build_path_list(build_graph(x))
-    batch, rows = batch_kinds(x, x.n_vars)
-    syn = np.unpackbits(rows.view(np.uint8), axis=1, count=x.n_vars + 1, bitorder="little")[:, 1:]
-    want = np.array([min_length_join(p, x, t) for t in syn.tolist()], dtype=np.uint8)
-    want = pack_rows(want.reshape(len(syn), x.m))
-    table = DECODERS["min-length"](p, x, batch)
-    memo = DECODERS["min-length"](p, x, rows)
-    for got in (table, memo):
-        assert got.dtype == np.uint64 and np.array_equal(got, want)
+    for batch, rows in batch_kinds(x, x.n_vars):
+        syn = np.unpackbits(rows.view(np.uint8), axis=1, count=x.n_vars + 1, bitorder="little")[:, 1:]
+        want = np.array([min_length_join(p, x, t) for t in syn.tolist()], dtype=np.uint8)
+        want = pack_rows(want.reshape(len(syn), x.m))
+        table = DECODERS["min-length"](p, x, batch)
+        memo = DECODERS["min-length"](p, x, rows)
+        for got in (table, memo):
+            assert got.dtype == np.uint64 and np.array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -434,22 +449,25 @@ def test_min_length_paths_match_on_every_even_syndrome(x):
 @example(SQUARE, 3)  # an odd top keeps the sets of top - 1 vertices
 @example(SQUARE, 0)  # only the empty set
 def test_even_sets_match_the_oracle(x, top):
+    # the oracle's rows that lie within one component are that component's batch
     g = build_graph(x)
-    batch = even_sets(g.component, top)
     want = even_syndromes(g.component, top).view("<u8")
-    assert batch.syndromes.dtype == np.uint64 and batch.syndromes.shape == want.shape
-    assert sorted(batch.syndromes.tolist()) == sorted(want.tolist())
-    # each row is the union of its parts, each part read from its component's layers at its entry
-    parts = [[] for _ in batch.syndromes]
-    for verts, layers, entry in batch.parts:
-        sets = [[verts[i] for i in subset] for layer in layers for subset in layer.tolist()]
-        assert all(len(subset) % 2 == 0 for subset in sets)
-        entries = range(len(sets)) if entry is None else entry.tolist()
-        assert len(entries) == len(parts)
-        for part, e in zip(parts, entries):
-            part += sets[e]
-    bits = np.unpackbits(batch.syndromes.view(np.uint8), axis=1, count=x.n_vars + 1, bitorder="little")
-    assert [sorted(part) for part in parts] == [np.flatnonzero(row).tolist() for row in bits]
+    bits = np.unpackbits(want.view(np.uint8), axis=1, count=x.n_vars + 1, bitorder="little")
+    for label in set(g.component.values()):
+        verts = [v for v in sorted(g.component) if g.component[v] == label]
+        batch = even_sets(verts, x.n_vars, top)
+        inside = ~np.delete(bits, verts, axis=1).any(axis=1)
+        assert batch.verts == verts
+        assert batch.syndromes.dtype == np.uint64 and batch.syndromes.shape[1] == want.shape[1]
+        assert sorted(batch.syndromes.tolist()) == sorted(want[inside].tolist())
+        # row r is set r of the layers read end to end, each layer one even size in colex order
+        sets = [[verts[i] for i in subset] for layer in batch.layers for subset in layer.tolist()]
+        assert [layer.shape[1] for layer in batch.layers] == list(range(0, min(len(verts), top) + 1, 2))
+        for layer in batch.layers:  # row r has colex rank r
+            ranks = [sum(comb(c, q + 1) for q, c in enumerate(subset)) for subset in layer.tolist()]
+            assert ranks == list(range(len(layer)))
+        got = np.unpackbits(batch.syndromes.view(np.uint8), axis=1, count=x.n_vars + 1, bitorder="little")
+        assert sets == [np.flatnonzero(row).tolist() for row in got]
 
 
 @pytest.mark.parametrize("n_vars, m", [(63, 64), (63, 65), (64, 64), (64, 65)])
@@ -467,13 +485,13 @@ def test_decoders_take_and_return_packed_words(n_vars, m):
         for name, oracle in (("greedy", greedy_decode_sets), ("min-length", min_length_decode_pairs))
     }
     got = {name: decode(p, x, syn) for name, decode in DECODERS.items()}
-    # an even-set batch: greedy reads its rows, the min-length decoder its pairing tables
-    batch, rows = batch_kinds(x, 2)
-    t = np.unpackbits(rows.view(np.uint8), axis=1, count=n_vars + 1, bitorder="little")[:, 1:]
-    got["greedy", "even sets"] = DECODERS["greedy"](p, x, batch)
-    want["greedy", "even sets"] = DECODERS["greedy"](p, x, rows)
-    got["min-length", "even sets"] = DECODERS["min-length"](p, x, batch)
-    want["min-length", "even sets"] = pack_rows([min_length_join(p, x, row) for row in t.tolist()])
+    # each component's even-set batch: greedy reads its rows, the min-length decoder its pairing table
+    for c, (batch, rows) in enumerate(batch_kinds(x, 2)):
+        t = np.unpackbits(rows.view(np.uint8), axis=1, count=n_vars + 1, bitorder="little")[:, 1:]
+        got["greedy", c] = DECODERS["greedy"](p, x, batch)
+        want["greedy", c] = DECODERS["greedy"](p, x, rows)
+        got["min-length", c] = DECODERS["min-length"](p, x, batch)
+        want["min-length", c] = pack_rows([min_length_join(p, x, row) for row in t.tolist()])
     for name, words in got.items():
         assert words.dtype == np.uint64 and words.shape == (len(want[name]), -(-m // 64))
         bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from itertools import combinations, product
 from math import comb, isinf, sqrt
 
@@ -252,6 +253,8 @@ def assert_same_exact(got, sets):
 )
 @example(EMPTY, "greedy", 0, 5, 0)
 @example(EMPTY, "min-length", 0, 5, 0)
+# three components and no rows: the join of D_0 over errors of zero words
+@example(XorsatInstance(n_vars=3, rows=(), targets=()), "greedy", 0, 5, 0)
 def test_profiles_match_per_error_oracle(x, decoder, l, samples, seed):
     # small sample counts make low shells enumerated and higher ones drawn
     l = min(l, x.m)
@@ -312,6 +315,25 @@ def test_profiles_across_word_boundaries(n_vars, m):
         if m == 65:
             # rows 63 and 64 are the path's last two edges, 62-63 and 63-64
             assert [63, 64] in exact.decoded_sets[2].tolist()
+
+
+def test_exact_profile_decodes_each_component_apart(monkeypatch):
+    # 8 components: the decoders see each component's even sets of at most 4 vertices, not their product
+    x = boundary_system(63, 64)
+    sizes = Counter(build_graph(x).component.values()).values()
+    assert len(sizes) == 8
+    rows = []
+    for name, decode in list(dqi.DECODERS.items()):
+        def counting(p, x, batch, _decode=decode):
+            rows.append(len(batch.syndromes))
+            return _decode(p, x, batch)
+
+        monkeypatch.setitem(dqi.DECODERS, name, counting)
+    for decoder in ("greedy", "min-length"):
+        rows.clear()
+        exact = failure_profile_exact(decoder, x, 2)
+        assert rows == [1 + comb(s, 2) + comb(s, 4) for s in sizes]
+        assert_same_exact(exact, decoded_sets_loop(decoder, x, 2))
 
 
 def brute_force_sets(decode, x, l):
